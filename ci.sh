@@ -17,6 +17,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> motbench self-test (tiny sizes)"
+# The benchmark is a package of its own; building and testing it here makes
+# a change to any API it imports fail CI rather than the benchmark run.
+cargo test --offline --manifest-path motbench/Cargo.toml -q
+
 echo "==> smoke: parallel strategies on g27"
 cargo run --release -p motsim-cli --bin motsim -- strategies g27 --len 40 --jobs 2
 

@@ -1,5 +1,4 @@
-//! Shared experiment harness for the `tables` binary and the Criterion
-//! benches.
+//! Shared experiment harness for the `tables` binary.
 //!
 //! Each `*_row` function reproduces one row of the corresponding paper
 //! table; the binary formats them, `EXPERIMENTS.md` records them.

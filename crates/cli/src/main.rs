@@ -22,6 +22,7 @@
 //! `motsim list`) or a path to an ISCAS-89 `.bench` file.
 
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::process::exit;
 use std::time::Instant;
 
@@ -38,6 +39,35 @@ use motsim::xred::XRedAnalysis;
 use motsim_netlist::analysis::NetlistStats;
 use motsim_netlist::Netlist;
 use motsim_trace::{JsonlSink, TraceEvent, TraceSink};
+
+// The std `print!`/`println!` panic when stdout is closed (e.g. `motsim
+// list | head -3`); these shadow them for the whole binary.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. Once the reader has gone away the output is dropped
+/// and the command still runs to completion, so `--trace` files and the
+/// exit status stay intact; any other write error is fatal.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+            exit(1);
+        }
+    }
+}
 
 const USAGE: &str = "\
 usage: motsim <command> <circuit> [options]

@@ -185,3 +185,32 @@ fn fuzz_rejects_bad_options() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--max-dffs"));
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `motsim list | head -1`: the reader leaves after one line while the
+    // command is still building circuits and printing.
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_motsim"))
+        .arg("list")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.contains("suite"), "{first}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr readable");
+    let status = child.wait().expect("child exits");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(status.success(), "{status}: {stderr}");
+}

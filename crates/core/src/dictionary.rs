@@ -24,7 +24,7 @@ use motsim_netlist::Netlist;
 
 use crate::faults::Fault;
 use crate::pattern::TestSequence;
-use crate::sim3::eval_frame;
+use crate::sim3::TrueSim;
 
 /// An observation point: output `output` at frame `frame` shows a value
 /// different from the fault-free circuit.
@@ -59,22 +59,14 @@ impl FaultDictionary {
         faults: impl IntoIterator<Item = Fault>,
     ) -> Self {
         // Fault-free reference once.
-        let mut tstate = vec![V3::X; netlist.num_dffs()];
-        let mut tvals = Vec::new();
-        let mut reference: Vec<Vec<V3>> = Vec::with_capacity(seq.len());
-        for v in seq {
-            eval_frame(netlist, &tstate, v, &mut tvals);
-            reference.push(
-                netlist
-                    .outputs()
-                    .iter()
-                    .map(|&o| tvals[o.index()])
-                    .collect(),
-            );
-            for (i, &q) in netlist.dffs().iter().enumerate() {
-                tstate[i] = tvals[netlist.dff_d(q).index()];
-            }
-        }
+        let mut good = TrueSim::new(netlist);
+        let reference: Vec<Vec<V3>> = seq
+            .iter()
+            .map(|v| {
+                good.step(v);
+                good.outputs()
+            })
+            .collect();
 
         let entries = faults
             .into_iter()

@@ -19,7 +19,7 @@
 use motsim_bdd::BddError;
 use motsim_logic::V3;
 use motsim_netlist::Netlist;
-use motsim_trace::{NullSink, TraceEvent, TraceSink};
+use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
 use crate::pattern::TestSequence;
@@ -67,23 +67,6 @@ impl Default for HybridConfig {
 /// Projected three-valued states carried between hybrid phases.
 type Carry = (Vec<V3>, Vec<(Fault, Vec<V3>)>);
 
-/// Runs the hybrid simulation of `faults` over `seq` under `strategy`
-/// (see [`run_traced`]), discarding trace events.
-#[deprecated(
-    since = "0.5.0",
-    note = "construct through `engine_api::HybridEngine` (or call \
-            `hybrid::run_traced` with a `NullSink`) instead"
-)]
-pub fn hybrid_run(
-    netlist: &Netlist,
-    strategy: Strategy,
-    seq: &TestSequence,
-    faults: impl IntoIterator<Item = Fault>,
-    config: HybridConfig,
-) -> SimOutcome {
-    run_traced(netlist, strategy, seq, faults, config, &mut NullSink)
-}
-
 /// Runs the hybrid simulation of `faults` over `seq` under `strategy`,
 /// reporting runtime telemetry to `sink`.
 ///
@@ -101,8 +84,8 @@ pub fn hybrid_run(
 /// [`TraceEvent::TvFrame`]s in between. All frame numbers are global to the
 /// run, so the exact fallback spans can be reconstructed from the stream;
 /// the `frames` fields of the `FallbackExit` events sum to the outcome's
-/// `fallback_frames`. With a [`NullSink`] the run does no trace work at
-/// all.
+/// `fallback_frames`. With a [`NullSink`](motsim_trace::NullSink) the run
+/// does no trace work at all.
 ///
 /// # Example
 ///
@@ -281,9 +264,9 @@ mod tests {
     use super::*;
     use crate::faults::FaultList;
     use crate::symbolic::SymbolicFaultSim;
+    use motsim_trace::NullSink;
 
-    /// Untraced entry point for the tests below (shadows the deprecated
-    /// wrapper of the same name).
+    /// Untraced entry point for the tests below.
     fn hybrid_run(
         netlist: &Netlist,
         strategy: Strategy,

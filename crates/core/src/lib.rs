@@ -29,6 +29,18 @@
 //!    [`exhaustive`] brute-force oracle that validates the symbolic engines
 //!    on small circuits, and as a fast pattern evaluator.
 //!
+//! `simb`, [`pfsim`] and `sim3`'s dense evaluation (the true-value
+//! simulator and the faulty-frame reference) all run on one crate-private
+//! dense frame kernel: a single levelized frame pass and next-state step,
+//! generic over the value domain ([`motsim_logic::Logic`], for `u64` words of
+//! 64 Boolean lanes and for [`V3`](motsim_logic::V3)) and over a fault
+//! injector (one [`Fault`] forced in every lane, or `pfsim`'s per-lane
+//! set/clear masks). The kernel alone decides where a stuck-at fault forces
+//! a value. Three loops stay separate because they compute something else:
+//! [`FaultSim3`](sim3::FaultSim3)'s sparse event-driven fault propagation,
+//! the fallible BDD evaluators of [`symbolic`], and the lattice passes of
+//! [`xred`] and [`testability`].
+//!
 //! Around the pipeline, the crate ships the downstream tooling a fault
 //! simulator enables:
 //!
@@ -79,6 +91,7 @@ pub mod dictionary;
 pub mod engine_api;
 pub mod exhaustive;
 pub mod faults;
+mod frame;
 pub mod hybrid;
 pub mod ordering;
 pub mod pattern;

@@ -14,9 +14,10 @@
 
 use std::collections::HashMap;
 
-use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::{Lead, NetId, Netlist};
 
 use crate::faults::Fault;
+use crate::frame::{self, Inject};
 use crate::pattern::TestSequence;
 use crate::report::{Detection, FaultOutcome, SimOutcome};
 
@@ -44,21 +45,20 @@ impl Overrides {
             slot.1 |= bit;
         }
     }
+}
 
+/// Per-lane forcing: stuck-at-1 lanes set, stuck-at-0 lanes cleared.
+impl Inject<u64> for Overrides {
     #[inline]
-    fn stem_apply(&self, net: NetId, word: u64) -> u64 {
-        match self.stem.get(&(net.index() as u32)) {
-            Some(&(set, clr)) => (word | set) & !clr,
-            None => word,
-        }
+    fn stem(&self, net: NetId, word: u64) -> u64 {
+        let masks = self.stem.get(&(net.index() as u32));
+        masks.map_or(word, |&(set, clr)| (word | set) & !clr)
     }
 
     #[inline]
-    fn branch_apply(&self, lead: Lead, word: u64) -> u64 {
-        match self.branch.get(&lead) {
-            Some(&(set, clr)) => (word | set) & !clr,
-            None => word,
-        }
+    fn pin(&self, lead: Lead, word: u64) -> u64 {
+        let masks = self.branch.get(&lead);
+        masks.map_or(word, |&(set, clr)| (word | set) & !clr)
     }
 }
 
@@ -105,13 +105,10 @@ pub fn parallel_fault_run(
         for (k, &f) in group.iter().enumerate() {
             ov.add(f, k + 1); // lane 0 stays fault-free
         }
-        let mut state: Vec<u64> = reset
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        let mut values = vec![0u64; netlist.num_nets()];
+        let mut state = crate::simb::broadcast(reset);
+        let mut values = Vec::new();
         for (t, v) in seq.iter().enumerate() {
-            eval_frame_group(netlist, &ov, &state, v, &mut values);
+            frame::eval_frame(netlist, &state, frame::known(v), &ov, &mut values);
             // Observation: lanes differing from lane 0.
             for (j, &o) in netlist.outputs().iter().enumerate() {
                 let word = values[o.index()];
@@ -132,11 +129,7 @@ pub fn parallel_fault_run(
                     }
                 }
             }
-            // Next state with D-pin branch forcing.
-            for (i, &q) in netlist.dffs().iter().enumerate() {
-                let d = netlist.dff_d(q);
-                state[i] = ov.branch_apply(Lead::branch(d, q, 0), values[d.index()]);
-            }
+            frame::next_state(netlist, &values, &ov, &mut state);
         }
     }
 
@@ -149,44 +142,6 @@ pub fn parallel_fault_run(
     };
     outcome.sort_by_fault();
     outcome
-}
-
-fn eval_frame_group(
-    netlist: &Netlist,
-    ov: &Overrides,
-    state: &[u64],
-    inputs: &[bool],
-    values: &mut [u64],
-) {
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        let w = if inputs[i] { u64::MAX } else { 0 };
-        values[pi.index()] = ov.stem_apply(pi, w);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = ov.stem_apply(q, state[i]);
-    }
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        let mut it =
-            net.fanin().iter().enumerate().map(|(pin, &f)| {
-                ov.branch_apply(Lead::branch(f, g, pin as u32), values[f.index()])
-            });
-        let first = it.next().expect("gates have fanin");
-        let out = match kind {
-            GateKind::And => it.fold(first, |a, b| a & b),
-            GateKind::Nand => !it.fold(first, |a, b| a & b),
-            GateKind::Or => it.fold(first, |a, b| a | b),
-            GateKind::Nor => !it.fold(first, |a, b| a | b),
-            GateKind::Xor => it.fold(first, |a, b| a ^ b),
-            GateKind::Xnor => !it.fold(first, |a, b| a ^ b),
-            GateKind::Not => !first,
-            GateKind::Buf => first,
-        };
-        values[g.index()] = ov.stem_apply(g, out);
-    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use motsim_netlist::{Lead, NetId, Netlist, NodeKind};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
+use crate::frame;
 use crate::pattern::TestSequence;
 use crate::report::{Detection, FaultOutcome, SimOutcome};
 
@@ -45,9 +46,7 @@ impl<'a> TrueSim<'a> {
     /// Panics if `inputs` does not match the circuit's input count.
     pub fn step(&mut self, inputs: &[bool]) {
         eval_frame(self.netlist, &self.state, inputs, &mut self.values);
-        for (i, &q) in self.netlist.dffs().iter().enumerate() {
-            self.state[i] = self.values[self.netlist.dff_d(q).index()];
-        }
+        frame::next_state(self.netlist, &self.values, &None::<Fault>, &mut self.state);
         self.frame += 1;
     }
 
@@ -98,34 +97,15 @@ impl<'a> TrueSim<'a> {
 ///
 /// Panics if `inputs`/`state` lengths do not match the circuit.
 pub fn eval_frame(netlist: &Netlist, state: &[V3], inputs: &[bool], values: &mut Vec<V3>) {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    values.clear();
-    values.resize(netlist.num_nets(), V3::X);
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = V3::from_bool(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i];
-    }
-    let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin_buf.clear();
-        fanin_buf.extend(net.fanin().iter().map(|f| values[f.index()]));
-        values[g.index()] = eval_gate(kind, &fanin_buf);
-    }
+    frame::eval_frame(netlist, state, frame::known(inputs), &None::<Fault>, values);
 }
 
 /// Evaluates one combinational frame of the *faulty* machine by full
 /// re-simulation with the stuck-at overrides applied (stem forcing at the
 /// site, branch forcing at the sink pin). The event-driven simulator in
 /// [`FaultSim3`] computes the same values sparsely; this dense variant is
-/// the reference implementation shared by the fault dictionary, the VCD
-/// dumper and the benchmark baselines.
+/// the reference shared by the fault dictionary, the VCD dumper and the
+/// event-driven engine's tests.
 ///
 /// # Panics
 ///
@@ -137,41 +117,7 @@ pub fn eval_frame_with_fault(
     fault: Fault,
     values: &mut Vec<V3>,
 ) {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    let forced = V3::from_bool(fault.stuck);
-    values.clear();
-    values.resize(netlist.num_nets(), V3::X);
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = V3::from_bool(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i];
-    }
-    // Stem fault on a source (input or flip-flop output).
-    if fault.lead.sink.is_none() && !netlist.net(fault.lead.net).kind().is_gate() {
-        values[fault.lead.net.index()] = forced;
-    }
-    let mut buf: Vec<V3> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            continue;
-        };
-        buf.clear();
-        for (pin, &f) in net.fanin().iter().enumerate() {
-            let mut v = values[f.index()];
-            if fault.lead == Lead::branch(f, g, pin as u32) {
-                v = forced;
-            }
-            buf.push(v);
-        }
-        let mut out = eval_gate(kind, &buf);
-        if fault.lead == Lead::stem(g) {
-            out = forced;
-        }
-        values[g.index()] = out;
-    }
+    frame::eval_frame(netlist, state, frame::known(inputs), &Some(fault), values);
 }
 
 /// Advances the faulty present state after [`eval_frame_with_fault`]
@@ -181,16 +127,7 @@ pub fn eval_frame_with_fault(
 ///
 /// Panics if `state` does not match the flip-flop count.
 pub fn next_state_with_fault(netlist: &Netlist, values: &[V3], fault: Fault, state: &mut [V3]) {
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    let forced = V3::from_bool(fault.stuck);
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        let d = netlist.dff_d(q);
-        let mut v = values[d.index()];
-        if fault.lead == Lead::branch(d, q, 0) {
-            v = forced;
-        }
-        state[i] = v;
-    }
+    frame::next_state(netlist, values, &Some(fault), state);
 }
 
 #[derive(Debug, Clone)]
@@ -653,79 +590,24 @@ mod tests {
         assert!(a.num_detected() < faults.len(), "X-state keeps some hidden");
     }
 
-    /// Oracle: serial full re-simulation of the faulty machine must agree
-    /// with the event-driven simulator.
+    /// Oracle: serial full re-simulation of the faulty machine through the
+    /// public dense reference must agree with the event-driven simulator.
     fn full_resim_detects(netlist: &Netlist, fault: Fault, seq: &TestSequence) -> bool {
-        let mut tstate = vec![V3::X; netlist.num_dffs()];
+        let mut good = TrueSim::new(netlist);
         let mut fstate = vec![V3::X; netlist.num_dffs()];
-        let mut tvals = Vec::new();
         let mut fvals = Vec::new();
         for v in seq {
-            eval_frame(netlist, &tstate, v, &mut tvals);
+            good.step(v);
             eval_frame_with_fault(netlist, &fstate, v, fault, &mut fvals);
             for &o in netlist.outputs() {
-                let (tv, fv) = (tvals[o.index()], fvals[o.index()]);
+                let (tv, fv) = (good.value(o), fvals[o.index()]);
                 if tv.is_known() && fv.is_known() && tv != fv {
                     return true;
                 }
             }
-            for (i, &q) in netlist.dffs().iter().enumerate() {
-                tstate[i] = tvals[netlist.dff_d(q).index()];
-                let d = netlist.dff_d(q);
-                let mut nv = fvals[d.index()];
-                if fault.lead == Lead::branch(d, q, 0) {
-                    nv = V3::from_bool(fault.stuck);
-                }
-                fstate[i] = nv;
-            }
+            next_state_with_fault(netlist, &fvals, fault, &mut fstate);
         }
         false
-    }
-
-    /// Reference faulty-frame evaluation: full pass with overrides.
-    fn eval_frame_with_fault(
-        netlist: &Netlist,
-        state: &[V3],
-        inputs: &[bool],
-        fault: Fault,
-        values: &mut Vec<V3>,
-    ) {
-        values.clear();
-        values.resize(netlist.num_nets(), V3::X);
-        let forced = V3::from_bool(fault.stuck);
-        for (i, &pi) in netlist.inputs().iter().enumerate() {
-            values[pi.index()] = V3::from_bool(inputs[i]);
-        }
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            values[q.index()] = state[i];
-        }
-        // Apply stem forcing on sources.
-        if fault.lead.sink.is_none() {
-            let n = fault.lead.net;
-            if !netlist.net(n).kind().is_gate() {
-                values[n.index()] = forced;
-            }
-        }
-        let mut buf = Vec::new();
-        for &g in netlist.eval_order() {
-            let net = netlist.net(g);
-            let NodeKind::Gate(kind) = net.kind() else {
-                continue;
-            };
-            buf.clear();
-            for (pin, &f) in net.fanin().iter().enumerate() {
-                let mut v = values[f.index()];
-                if fault.lead == Lead::branch(f, g, pin as u32) {
-                    v = forced;
-                }
-                buf.push(v);
-            }
-            let mut out = eval_gate(kind, &buf);
-            if fault.lead == Lead::stem(g) {
-                out = forced;
-            }
-            values[g.index()] = out;
-        }
     }
 
     #[test]

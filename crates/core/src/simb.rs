@@ -5,9 +5,10 @@
 //! the lanes to enumerate initial states; the lanes can equally carry 64
 //! random patterns (classical PPSFP-style simulation).
 
-use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::Netlist;
 
 use crate::faults::Fault;
+use crate::frame;
 
 /// Evaluates one combinational frame over 64 parallel Boolean scenarios.
 ///
@@ -25,74 +26,17 @@ pub fn eval_frame_u64(
     fault: Option<Fault>,
     values: &mut Vec<u64>,
 ) {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    values.clear();
-    values.resize(netlist.num_nets(), 0);
-    let forced: u64 = match fault {
-        Some(f) if f.stuck => u64::MAX,
-        _ => 0,
-    };
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = inputs[i];
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i];
-    }
-    // Stem fault on a source (input or flip-flop output).
-    if let Some(f) = fault {
-        if f.lead.sink.is_none() && !netlist.net(f.lead.net).kind().is_gate() {
-            values[f.lead.net.index()] = forced;
-        }
-    }
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        let read = |pin: usize, fnet: NetId| -> u64 {
-            let v = values[fnet.index()];
-            match fault {
-                Some(f) if f.lead == Lead::branch(fnet, g, pin as u32) => forced,
-                _ => v,
-            }
-        };
-        let mut it = net.fanin().iter().enumerate().map(|(p, &f)| read(p, f));
-        let first = it.next().expect("gates have fanin");
-        let out = match kind {
-            GateKind::And => it.fold(first, |a, b| a & b),
-            GateKind::Nand => !it.fold(first, |a, b| a & b),
-            GateKind::Or => it.fold(first, |a, b| a | b),
-            GateKind::Nor => !it.fold(first, |a, b| a | b),
-            GateKind::Xor => it.fold(first, |a, b| a ^ b),
-            GateKind::Xnor => !it.fold(first, |a, b| a ^ b),
-            GateKind::Not => !first,
-            GateKind::Buf => first,
-        };
-        values[g.index()] = match fault {
-            Some(f) if f.lead == Lead::stem(g) => forced,
-            _ => out,
-        };
-    }
+    frame::eval_frame(netlist, state, inputs.iter().copied(), &fault, values);
 }
 
 /// Advances a 64-lane state vector by one frame (companion to
 /// [`eval_frame_u64`]; call after it with the same `fault`).
+///
+/// # Panics
+///
+/// Panics if `state` does not match the flip-flop count.
 pub fn next_state_u64(netlist: &Netlist, values: &[u64], fault: Option<Fault>, state: &mut [u64]) {
-    let forced: u64 = match fault {
-        Some(f) if f.stuck => u64::MAX,
-        _ => 0,
-    };
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        let d = netlist.dff_d(q);
-        let mut v = values[d.index()];
-        if let Some(f) = fault {
-            if f.lead == Lead::branch(d, q, 0) {
-                v = forced;
-            }
-        }
-        state[i] = v;
-    }
+    frame::next_state(netlist, values, &fault, state);
 }
 
 /// Broadcasts one Boolean vector into all 64 lanes.
@@ -116,44 +60,75 @@ mod tests {
     use crate::pattern::TestSequence;
     use crate::sim3;
     use motsim_logic::V3;
+    use motsim_netlist::Netlist;
 
-    /// Boolean lanes must agree with the three-valued simulator when the
-    /// state is fully known.
-    #[test]
-    fn agrees_with_v3_on_known_state() {
-        let n = motsim_circuits::s27();
-        let seq = TestSequence::random(&n, 30, 17);
-        // Lane k encodes initial state k (3 FFs -> 8 states).
-        let mut state: Vec<u64> = (0..3)
-            .map(|i| {
-                let mut w = 0u64;
-                for k in 0..8u64 {
-                    if (k >> i) & 1 == 1 {
-                        w |= 1 << k;
-                    }
-                }
-                w
-            })
-            .collect();
+    /// One three-valued frame of the machine with `fault` (or the
+    /// fault-free machine), advancing `state`.
+    fn v3_frame(n: &Netlist, fault: Option<Fault>, v: &[bool], state: &mut [V3]) -> Vec<V3> {
         let mut values = Vec::new();
-        // Reference: three-valued run from initial state 5.
-        let mut v3state: Vec<V3> = (0..3)
-            .map(|i| V3::from_bool((5u64 >> i) & 1 == 1))
-            .collect();
-        let mut v3vals = Vec::new();
-        for v in seq.iter() {
-            eval_frame_u64(&n, &state, &broadcast(v), None, &mut values);
-            sim3::eval_frame(&n, &v3state, v, &mut v3vals);
-            for id in n.net_ids() {
-                let expect = v3vals[id.index()].to_bool().expect("fully known");
-                let got = (values[id.index()] >> 5) & 1 == 1;
-                assert_eq!(got, expect, "net {}", n.net(id).name());
+        match fault {
+            Some(f) => {
+                sim3::eval_frame_with_fault(n, state, v, f, &mut values);
+                sim3::next_state_with_fault(n, &values, f, state);
             }
-            next_state_u64(&n, &values, None, &mut state);
-            for (i, &q) in n.dffs().iter().enumerate() {
-                v3state[i] = v3vals[n.dff_d(q).index()];
+            None => {
+                sim3::eval_frame(n, state, v, &mut values);
+                for (s, &q) in state.iter_mut().zip(n.dffs()) {
+                    *s = values[n.dff_d(q).index()];
+                }
             }
         }
+        values
+    }
+
+    /// Lane `k` starts in initial state `k`; with the state fully known,
+    /// every lane must agree net by net, frame by frame, with the
+    /// three-valued simulation of the same machine — for the fault-free
+    /// machine and for every collapsed fault.
+    fn assert_lanes_agree_with_v3(n: &Netlist, len: usize, seed: u64) {
+        let m = n.num_dffs();
+        let lanes = 1usize << m.min(6);
+        let seq = TestSequence::random(n, len, seed);
+        let faults = crate::faults::FaultList::collapsed(n);
+        let cases = std::iter::once(None).chain(faults.iter().map(|&f| Some(f)));
+        for fault in cases {
+            let mut state: Vec<u64> = (0..m)
+                .map(|i| {
+                    (0..lanes)
+                        .filter(|k| (k >> i) & 1 == 1)
+                        .map(|k| 1u64 << k)
+                        .sum()
+                })
+                .collect();
+            let mut v3state: Vec<Vec<V3>> = (0..lanes)
+                .map(|k| (0..m).map(|i| V3::from_bool((k >> i) & 1 == 1)).collect())
+                .collect();
+            let mut values = Vec::new();
+            for (t, v) in seq.iter().enumerate() {
+                eval_frame_u64(n, &state, &broadcast(v), fault, &mut values);
+                next_state_u64(n, &values, fault, &mut state);
+                for (k, v3s) in v3state.iter_mut().enumerate() {
+                    let v3vals = v3_frame(n, fault, v, v3s);
+                    for id in n.net_ids() {
+                        let expect = v3vals[id.index()].to_bool().expect("fully known");
+                        let got = (values[id.index()] >> k) & 1 == 1;
+                        assert_eq!(
+                            got,
+                            expect,
+                            "{}: net {} frame {t} lane {k}",
+                            fault.map_or("fault-free".into(), |f| f.display(n).to_string()),
+                            n.net(id).name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn agrees_with_v3_on_known_state() {
+        assert_lanes_agree_with_v3(&motsim_circuits::s27(), 30, 17);
+        assert_lanes_agree_with_v3(&motsim_circuits::generators::counter(6), 20, 5);
     }
 
     #[test]

@@ -134,10 +134,26 @@ impl SymbolicOutputSequence {
 
     /// Evaluates a device response against the sequence.
     ///
+    /// The running product is built in the manager the sequence was
+    /// computed in, under the same node limit. Each call leaves its product
+    /// behind as garbage, so when a step hits the limit the manager is
+    /// garbage-collected (the sequence's own frames stay live) and the step
+    /// retried; if this evaluation alone still does not fit, the rest of
+    /// the call runs without the limit, which is restored before returning.
+    /// The verdict never depends on the limit.
+    ///
     /// # Panics
     ///
     /// Panics if the response shape does not match (frames × outputs).
     pub fn evaluate(&self, response: &[Vec<bool>]) -> TestVerdict {
+        let limit = self.mgr.node_limit();
+        let verdict = self.evaluate_unrestored(response);
+        self.mgr.set_node_limit(limit);
+        verdict
+    }
+
+    /// [`evaluate`](Self::evaluate), which may leave the node limit lifted.
+    fn evaluate_unrestored(&self, response: &[Vec<bool>]) -> TestVerdict {
         assert_eq!(response.len(), self.len(), "response length mismatch");
         // Prefix: pessimistic three-valued comparison.
         for (t, (expect, got)) in self.prefix.iter().zip(response).enumerate() {
@@ -164,7 +180,7 @@ impl SymbolicOutputSequence {
             assert_eq!(got.len(), frame.len(), "response width mismatch");
             for (j, (o, &c)) in frame.iter().zip(got).enumerate() {
                 let term = if c { o.clone() } else { o.not() };
-                product = product.and(&term).expect("no limit");
+                product = self.and_collecting(&product, &term);
                 if product.is_false() {
                     return TestVerdict::Faulty {
                         frame: self.prefix.len() + dt,
@@ -176,6 +192,19 @@ impl SymbolicOutputSequence {
         TestVerdict::Consistent {
             witnesses: product.sat_count(self.mgr.num_vars()),
         }
+    }
+
+    /// `a ∧ b`; on a node-limit hit, collects garbage and retries, then
+    /// lifts the limit if that is not enough.
+    fn and_collecting(&self, a: &Bdd, b: &Bdd) -> Bdd {
+        if let Ok(r) = a.and(b) {
+            return r;
+        }
+        self.mgr.gc();
+        a.and(b).unwrap_or_else(|_| {
+            self.mgr.set_node_limit(None);
+            a.and(b).expect("no node limit")
+        })
     }
 }
 
@@ -221,10 +250,7 @@ pub fn reference_response(
         netlist.num_dffs(),
         "initial state width mismatch"
     );
-    let mut state: Vec<u64> = initial_state
-        .iter()
-        .map(|&b| if b { u64::MAX } else { 0 })
-        .collect();
+    let mut state = crate::simb::broadcast(initial_state);
     let mut values = Vec::new();
     let mut out = Vec::with_capacity(seq.len());
     for v in seq {
@@ -395,6 +421,59 @@ mod tests {
                     assert_eq!(resp[t][j], b, "frame {t} output {j}");
                 }
             }
+        }
+    }
+
+    /// Fault-free responses from 64 initial states, each also with one
+    /// output bit flipped.
+    fn responses(n: &Netlist, seq: &TestSequence) -> Vec<Vec<Vec<bool>>> {
+        let mut out = Vec::new();
+        for init in 0..64usize {
+            let st: Vec<bool> = (0..n.num_dffs())
+                .map(|i| (init >> (i % 6)) & 1 == 1)
+                .collect();
+            let resp = reference_response(n, seq, &st);
+            let mut bad = resp.clone();
+            let t = init % seq.len();
+            bad[t][init % n.num_outputs()] ^= true;
+            out.push(resp);
+            out.push(bad);
+        }
+        out
+    }
+
+    #[test]
+    fn evaluate_collects_garbage_at_the_node_limit() {
+        // Under a 1,700-node limit the whole g298 sequence stays symbolic,
+        // but the products earlier evaluations leave behind fill the
+        // manager within a few calls.
+        let n = motsim_circuits::suite::by_name("g298").unwrap();
+        let seq = TestSequence::random(&n, 60, 9);
+        let tight = SymbolicOutputSequence::compute(&n, &seq, Some(1_700));
+        let roomy = SymbolicOutputSequence::compute(&n, &seq, None);
+        assert_eq!(tight.prefix_len(), 0);
+        let gc_before = tight.mgr.stats().gc_runs;
+        for resp in responses(&n, &seq) {
+            assert_eq!(tight.evaluate(&resp), roomy.evaluate(&resp));
+        }
+        assert!(tight.mgr.stats().gc_runs > gc_before, "the limit was hit");
+        assert_eq!(tight.mgr.node_limit(), Some(1_700));
+    }
+
+    #[test]
+    fn evaluate_lifts_a_limit_its_frames_fill() {
+        // With the limit at the frames' own size, no product node fits even
+        // after collection: the call finishes unlimited, then restores it.
+        let n = motsim_circuits::suite::by_name("g298").unwrap();
+        let seq = TestSequence::random(&n, 60, 9);
+        let roomy = SymbolicOutputSequence::compute(&n, &seq, None);
+        let sos = SymbolicOutputSequence::compute(&n, &seq, None);
+        sos.mgr.gc();
+        let full = Some(sos.mgr.live_nodes());
+        sos.mgr.set_node_limit(full);
+        for resp in responses(&n, &seq) {
+            assert_eq!(sos.evaluate(&resp), roomy.evaluate(&resp));
+            assert_eq!(sos.mgr.node_limit(), full);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Value Change Dump (VCD) export of three-valued simulations.
 //!
-//! Dumps the per-net waveforms of a [`crate::sim3::TrueSim`] run —
-//! or of a fault-free/faulty pair — in the standard IEEE 1364 VCD format
-//! (loadable in GTKWave and friends). `X` values map to VCD's `x`.
+//! Dumps the per-net waveforms of a dense three-valued simulation —
+//! fault-free or with one fault injected — in the standard IEEE 1364 VCD
+//! format (loadable in GTKWave and friends). `X` values map to VCD's `x`.
 
 use std::fmt::Write as _;
 
@@ -10,8 +10,8 @@ use motsim_logic::V3;
 use motsim_netlist::{NetId, Netlist};
 
 use crate::faults::Fault;
+use crate::frame;
 use crate::pattern::TestSequence;
-use crate::sim3::TrueSim;
 
 /// Which nets to include in a dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,21 +107,12 @@ pub fn dump_with_fault(
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
 
-    let mut sim = TrueSim::new(netlist);
-    let mut faulty_state = vec![V3::X; netlist.num_dffs()];
-    let mut faulty_vals: Vec<V3> = Vec::new();
+    let mut state = vec![V3::X; netlist.num_dffs()];
+    let mut frame_vals: Vec<V3> = Vec::new();
     let mut last: Vec<Option<V3>> = vec![None; nets.len()];
     for (t, v) in seq.iter().enumerate() {
-        let frame_vals: Vec<V3> = match fault {
-            None => {
-                sim.step(v);
-                sim.values().to_vec()
-            }
-            Some(f) => {
-                faulty_frame(netlist, &mut faulty_state, v, f, &mut faulty_vals);
-                faulty_vals.clone()
-            }
-        };
+        frame::eval_frame(netlist, &state, frame::known(v), &fault, &mut frame_vals);
+        frame::next_state(netlist, &frame_vals, &fault, &mut state);
         let _ = writeln!(out, "#{t}");
         for (i, &n) in nets.iter().enumerate() {
             let val = frame_vals[n.index()];
@@ -133,18 +124,6 @@ pub fn dump_with_fault(
     }
     let _ = writeln!(out, "#{}", seq.len());
     out
-}
-
-/// One full faulty frame via the shared dense re-simulation helpers.
-fn faulty_frame(
-    netlist: &Netlist,
-    state: &mut [V3],
-    inputs: &[bool],
-    fault: Fault,
-    values: &mut Vec<V3>,
-) {
-    crate::sim3::eval_frame_with_fault(netlist, state, inputs, fault, values);
-    crate::sim3::next_state_with_fault(netlist, values, fault, state);
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! every worker count too.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -119,33 +119,6 @@ pub struct JobResult {
     pub workers: usize,
     /// Wall-clock time of the partition + simulate + reduce pipeline.
     pub elapsed: Duration,
-}
-
-/// Progress events emitted by [`run_with_progress`], in wall-clock order.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `run_traced`; the `unit_start`/`unit_end` trace events carry the same information deterministically"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    /// A worker popped a unit off the queue.
-    UnitStarted {
-        /// Unit id within the plan.
-        unit: usize,
-        /// Worker index in `0..workers`.
-        worker: usize,
-        /// Faults in the unit.
-        faults: usize,
-    },
-    /// A worker finished simulating a unit.
-    UnitFinished {
-        /// Unit id within the plan.
-        unit: usize,
-        /// Worker index in `0..workers`.
-        worker: usize,
-        /// Faults the unit's engine run detected.
-        detected: usize,
-    },
 }
 
 /// The engine layer's error: a shard's [`SimError`], tagged with the
@@ -305,95 +278,6 @@ pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, Engi
     })
 }
 
-/// Runs `job` to completion, emitting [`Progress`] events on `progress`.
-///
-/// Unlike trace events, progress events arrive in wall-clock order and
-/// carry worker indices, so their stream differs run to run; the job's
-/// *result* is still deterministic. A dropped receiver only silences the
-/// events; the job runs to completion.
-///
-/// # Errors
-///
-/// Fails with [`EngineError`] if a [`EngineKind::Symbolic`] shard hits a
-/// node limit; the lowest-id failure is reported.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `run_traced`; the `unit_start`/`unit_end` trace events carry the same information deterministically"
-)]
-#[allow(deprecated)]
-pub fn run_with_progress(
-    job: &Job,
-    progress: Option<&Sender<Progress>>,
-) -> Result<JobResult, EngineError> {
-    let start = Instant::now();
-    let units = job.units.unwrap_or_else(|| default_units(job.faults.len()));
-    let plan = FaultPartitioner::new(job.netlist, job.policy).partition(job.faults, units);
-    let n_units = plan.len();
-    let workers = job.jobs.clamp(1, n_units.max(1));
-
-    let queue: Mutex<VecDeque<WorkUnit>> = Mutex::new(plan.into());
-    let (tx, rx) = mpsc::channel::<(usize, Result<SimOutcome, SimError>)>();
-
-    let mut parts: Vec<(usize, Result<SimOutcome, SimError>)> = Vec::with_capacity(n_units);
-    std::thread::scope(|s| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let progress = progress.cloned();
-            let queue = &queue;
-            s.spawn(move || loop {
-                let unit = queue.lock().expect("queue poisoned").pop_front();
-                let Some(unit) = unit else { break };
-                if let Some(p) = &progress {
-                    let _ = p.send(Progress::UnitStarted {
-                        unit: unit.id,
-                        worker,
-                        faults: unit.faults.len(),
-                    });
-                }
-                let result = run_unit(job, &unit.faults, &mut NullSink);
-                if let Some(p) = &progress {
-                    let _ = p.send(Progress::UnitFinished {
-                        unit: unit.id,
-                        worker,
-                        detected: result.as_ref().map(SimOutcome::num_detected).unwrap_or(0),
-                    });
-                }
-                if tx.send((unit.id, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Drain while workers run; the scope joins them afterwards.
-        for part in rx {
-            parts.push(part);
-        }
-    });
-
-    parts.sort_by_key(|(id, _)| *id);
-    let mut outcomes = Vec::with_capacity(parts.len());
-    for (unit, result) in parts {
-        match result {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(source) => {
-                return Err(EngineError {
-                    unit: Some(unit),
-                    source,
-                })
-            }
-        }
-    }
-    let mut outcome = SimOutcome::merge(outcomes);
-    // An empty plan still reports the sequence length it (vacuously) ran.
-    outcome.frames = job.seq.len();
-    Ok(JobResult {
-        outcome,
-        units: n_units,
-        workers,
-        elapsed: start.elapsed(),
-    })
-}
-
 /// Simulates one shard through the unified [`engine_api`](motsim::engine_api),
 /// in a fresh engine instance (fresh BDD manager for the symbolic engines —
 /// the fault-independent MOT factors `E_j(x, y)` are recomputed per shard,
@@ -529,34 +413,6 @@ mod tests {
         let b = trace_with(4);
         assert!(!a.is_empty());
         assert_eq!(a, b, "merged JSONL must not depend on the worker count");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_progress_path_still_works() {
-        let (n, faults, seq) = setup(6);
-        let (tx, rx) = mpsc::channel();
-        let r = run_with_progress(
-            &Job::new(&n, &seq, &faults, EngineKind::Sim3)
-                .jobs(2)
-                .units(5),
-            Some(&tx),
-        )
-        .unwrap();
-        drop(tx);
-        let events: Vec<Progress> = rx.iter().collect();
-        let mut started: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e {
-                Progress::UnitStarted { unit, .. } => Some(*unit),
-                _ => None,
-            })
-            .collect();
-        started.sort_unstable();
-        assert_eq!(r.units, 5);
-        assert_eq!(started, vec![0, 1, 2, 3, 4]);
-        let direct = run(&Job::new(&n, &seq, &faults, EngineKind::Sim3).units(5)).unwrap();
-        assert_eq!(r.outcome, direct.outcome);
     }
 
     #[test]

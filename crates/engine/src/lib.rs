@@ -52,7 +52,5 @@ mod partition;
 mod xred;
 
 pub use job::{run, run_traced, EngineError, EngineKind, Job, JobResult};
-#[allow(deprecated)]
-pub use job::{run_with_progress, Progress};
 pub use partition::{default_units, FaultPartitioner, PartitionPolicy, WorkUnit};
 pub use xred::xred_partition;

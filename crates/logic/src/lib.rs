@@ -13,6 +13,8 @@
 //! Gate evaluation over [`V3`] is exposed both as binary operations on the
 //! values and as whole-gate evaluation keyed by
 //! [`GateKind`](motsim_netlist::GateKind), which the simulators use directly.
+//! The gate switch itself, [`fold_gate`], is generic over [`Logic`], so
+//! `V3` and `u64` Boolean lanes share one definition of every gate.
 //!
 //! # Example
 //!
@@ -26,8 +28,10 @@
 //! assert_eq!(eval_gate(GateKind::And, &[V3::X, V3::One]), V3::X);
 //! ```
 
+mod gate;
 mod v3;
 mod v4;
 
+pub use gate::{fold_gate, Logic};
 pub use v3::{eval_gate, V3};
 pub use v4::{eval_gate_v4, V4};

@@ -128,23 +128,12 @@ impl fmt::Display for V3 {
 ///
 /// Panics if `inputs` is empty, or has length ≠ 1 for the unary kinds.
 pub fn eval_gate(kind: GateKind, inputs: &[V3]) -> V3 {
-    assert!(!inputs.is_empty(), "gate must have at least one input");
     match kind {
-        GateKind::And => inputs.iter().copied().fold(V3::One, V3::and),
-        GateKind::Nand => !inputs.iter().copied().fold(V3::One, V3::and),
-        GateKind::Or => inputs.iter().copied().fold(V3::Zero, V3::or),
-        GateKind::Nor => !inputs.iter().copied().fold(V3::Zero, V3::or),
-        GateKind::Xor => inputs.iter().copied().fold(V3::Zero, V3::xor),
-        GateKind::Xnor => !inputs.iter().copied().fold(V3::Zero, V3::xor),
-        GateKind::Not => {
-            assert_eq!(inputs.len(), 1, "NOT is unary");
-            !inputs[0]
-        }
-        GateKind::Buf => {
-            assert_eq!(inputs.len(), 1, "BUFF is unary");
-            inputs[0]
-        }
+        GateKind::Not => assert_eq!(inputs.len(), 1, "NOT is unary"),
+        GateKind::Buf => assert_eq!(inputs.len(), 1, "BUFF is unary"),
+        _ => {}
     }
+    crate::fold_gate(kind, inputs.iter().copied())
 }
 
 #[cfg(test)]
