@@ -64,6 +64,18 @@ trace_smoke 4
 cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/j1.jsonl"
 cmp "$TRACE_DIR/j1.jsonl" "$TRACE_DIR/j4.jsonl"
 
+echo "==> smoke: three-valued trace (g298 sim3, --trace + trace-check)"
+# The same contract for the three-valued engine path.
+sim3_trace_smoke() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    sim3 g298 --len 60 --units 8 --jobs "$1" \
+    --trace "$TRACE_DIR/sim3_j$1.jsonl" >/dev/null 2>&1
+}
+sim3_trace_smoke 1
+sim3_trace_smoke 4
+cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/sim3_j1.jsonl"
+cmp "$TRACE_DIR/sim3_j1.jsonl" "$TRACE_DIR/sim3_j4.jsonl"
+
 echo "==> smoke: differential fuzzing (pinned seed, determinism)"
 # The in-tree property harness must find zero counterexamples on the
 # pinned seed, and its report must be byte-identical across runs.

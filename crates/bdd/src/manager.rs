@@ -1287,6 +1287,25 @@ impl BddManager {
         self.inner.borrow_mut().gc()
     }
 
+    /// Runs `op`; if it hits the node limit, runs [`gc`](Self::gc) and
+    /// retries `op` once, returning the second attempt's result.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`BddError::NodeLimit`] if the retry hits the limit too.
+    pub fn retry_after_gc<T>(
+        &self,
+        mut op: impl FnMut() -> Result<T, BddError>,
+    ) -> Result<T, BddError> {
+        match op() {
+            Err(BddError::NodeLimit { .. }) => {
+                self.gc();
+                op()
+            }
+            done => done,
+        }
+    }
+
     /// Number of distinct internal nodes reachable from any of `roots`
     /// (shared size of a function vector; Table IV's "BDD size").
     ///
@@ -1483,6 +1502,40 @@ mod tests {
             acc = acc.xor(v).unwrap();
         }
         assert!(!acc.is_const());
+    }
+
+    #[test]
+    fn retry_after_gc_collects_once_at_the_limit() {
+        let m = BddManager::new();
+        let vars: Vec<Bdd> = (0..6).map(|_| m.new_var()).collect();
+        // Garbage: a dropped conjunction of every variable.
+        drop(vars.iter().try_fold(m.one(), |acc, v| acc.and(v)).unwrap());
+        m.set_node_limit(Some(m.live_nodes()));
+        let gc_runs = || m.stats().gc_runs;
+        let (before, mut calls) = (gc_runs(), 0);
+        let x = m.retry_after_gc(|| {
+            calls += 1;
+            vars[0].xor(&vars[1])
+        });
+        assert!(x.is_ok());
+        assert_eq!((calls, gc_runs() - before), (2, 1));
+        // An operation that fits runs once, without a collection.
+        let mut calls = 0;
+        let y = m.retry_after_gc(|| {
+            calls += 1;
+            Ok(vars[2].not())
+        });
+        assert!(y.is_ok());
+        assert_eq!((calls, gc_runs() - before), (1, 1));
+        // One that cannot fit even after collecting fails after one retry.
+        m.set_node_limit(Some(m.live_nodes()));
+        let mut calls = 0;
+        let z = m.retry_after_gc(|| {
+            calls += 1;
+            vars.iter().try_fold(m.zero(), |acc, v| acc.xor(v))
+        });
+        assert!(matches!(z, Err(BddError::NodeLimit { .. })));
+        assert_eq!((calls, gc_runs() - before), (2, 2));
     }
 
     #[test]

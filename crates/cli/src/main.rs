@@ -883,7 +883,9 @@ fn cmd_diagnose(netlist: &Netlist, opts: &Opts) {
         println!("no detectable faults to diagnose");
         return;
     }
-    let fault = detectable[opts.inject.min(detectable.len() - 1)];
+    let fault = *detectable
+        .get(opts.inject)
+        .unwrap_or_else(|| die("--inject index out of range"));
     let observed: BTreeSet<_> = dict.signature(fault).unwrap().clone();
     let candidates = dict.diagnose(&observed);
     println!(

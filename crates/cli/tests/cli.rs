@@ -116,6 +116,17 @@ fn diagnose_names_candidates() {
     assert!(text.contains("candidate"));
 }
 
+#[test]
+fn diagnose_rejects_an_out_of_range_inject_index() {
+    let out = motsim(&["diagnose", "g27", "--inject", "99999"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--inject index out of range"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("injected"), "{text}");
+}
+
 /// Writes `content` to a fresh temp file and runs `trace-check` on it,
 /// returning (success, stderr).
 fn trace_check(name: &str, content: &str) -> (bool, String) {

@@ -175,7 +175,17 @@ fn slug(strategy: Strategy) -> &'static str {
     }
 }
 
-fn emit_run_start(sink: &mut dyn TraceSink, engine: String, faults: usize, frames: usize) {
+/// Runs `body` on the config's sink (or a [`NullSink`]) between a
+/// [`TraceEvent::RunStart`] and, if it succeeds, a [`TraceEvent::RunEnd`].
+fn bracketed(
+    sink: Option<&mut dyn TraceSink>,
+    engine: String,
+    faults: usize,
+    frames: usize,
+    body: impl FnOnce(&mut dyn TraceSink) -> Result<SimOutcome, SimError>,
+) -> Result<SimOutcome, SimError> {
+    let mut null = NullSink;
+    let sink = sink.unwrap_or(&mut null);
     if sink.enabled() {
         sink.event(&TraceEvent::RunStart {
             engine,
@@ -183,9 +193,7 @@ fn emit_run_start(sink: &mut dyn TraceSink, engine: String, faults: usize, frame
             frames,
         });
     }
-}
-
-fn emit_run_end(sink: &mut dyn TraceSink, outcome: &SimOutcome) {
+    let outcome = body(&mut *sink)?;
     if sink.enabled() {
         sink.event(&TraceEvent::RunEnd {
             detected: outcome.num_detected(),
@@ -193,6 +201,7 @@ fn emit_run_end(sink: &mut dyn TraceSink, outcome: &SimOutcome) {
             peak: outcome.bdd.peak_live_nodes,
         });
     }
+    Ok(outcome)
 }
 
 /// The three-valued engine ([`FaultSim3`]): fast, pessimistic, ignores
@@ -206,22 +215,17 @@ impl FaultSimEngine for Sim3Engine {
         netlist: &Netlist,
         seq: &TestSequence,
         faults: &[Fault],
-        mut config: SimConfig<'_>,
+        config: SimConfig<'_>,
     ) -> Result<SimOutcome, SimError> {
         config.validate(false)?;
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match &mut config.sink {
-            Some(s) => *s,
-            None => &mut null,
-        };
-        emit_run_start(sink, "sim3".into(), faults.len(), seq.len());
-        let mut sim = FaultSim3::new(netlist, faults.iter().copied());
-        for v in seq {
-            sim.step_traced(v, sink);
-        }
-        let outcome = sim.outcome();
-        emit_run_end(sink, &outcome);
-        Ok(outcome)
+        let engine = "sim3".to_string();
+        bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
+            let mut sim = FaultSim3::new(netlist, faults.iter().copied());
+            for v in seq {
+                sim.step_traced(v, sink);
+            }
+            Ok(sim.outcome())
+        })
     }
 }
 
@@ -237,40 +241,27 @@ impl FaultSimEngine for SymbolicEngine {
         netlist: &Netlist,
         seq: &TestSequence,
         faults: &[Fault],
-        mut config: SimConfig<'_>,
+        config: SimConfig<'_>,
     ) -> Result<SimOutcome, SimError> {
         config.validate(false)?;
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match &mut config.sink {
-            Some(s) => *s,
-            None => &mut null,
-        };
-        emit_run_start(
-            sink,
-            format!("symbolic-{}", slug(config.strategy)),
-            faults.len(),
-            seq.len(),
-        );
-        let mut sim = SymbolicFaultSim::new(netlist, config.strategy);
-        sim.set_node_limit(config.node_limit);
-        for &f in faults {
-            sim.add_fault(f);
-        }
-        for (t, v) in seq.iter().enumerate() {
-            if let Err(e) = sim.step_traced(v, sink) {
-                if sink.enabled() {
-                    let motsim_bdd::BddError::NodeLimit { limit } = &e;
-                    sink.event(&TraceEvent::NodeLimit {
-                        frame: t,
-                        limit: *limit,
-                    });
-                }
-                return Err(e.into());
+        let engine = format!("symbolic-{}", slug(config.strategy));
+        bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
+            let mut sim = SymbolicFaultSim::new(netlist, config.strategy);
+            sim.set_node_limit(config.node_limit);
+            for &f in faults {
+                sim.add_fault(f);
             }
-        }
-        let outcome = sim.outcome();
-        emit_run_end(sink, &outcome);
-        Ok(outcome)
+            for (t, v) in seq.iter().enumerate() {
+                if let Err(e) = sim.step_traced(v, sink) {
+                    if sink.enabled() {
+                        let motsim_bdd::BddError::NodeLimit { limit } = e;
+                        sink.event(&TraceEvent::NodeLimit { frame: t, limit });
+                    }
+                    return Err(e.into());
+                }
+            }
+            Ok(sim.outcome())
+        })
     }
 }
 
@@ -286,7 +277,7 @@ impl FaultSimEngine for HybridEngine {
         netlist: &Netlist,
         seq: &TestSequence,
         faults: &[Fault],
-        mut config: SimConfig<'_>,
+        config: SimConfig<'_>,
     ) -> Result<SimOutcome, SimError> {
         config.validate(true)?;
         let hybrid_config = HybridConfig {
@@ -296,27 +287,17 @@ impl FaultSimEngine for HybridEngine {
             fallback_frames: config.fallback_frames,
             reorder: config.reorder,
         };
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match &mut config.sink {
-            Some(s) => *s,
-            None => &mut null,
-        };
-        emit_run_start(
-            sink,
-            format!("hybrid-{}", slug(config.strategy)),
-            faults.len(),
-            seq.len(),
-        );
-        let outcome = hybrid::run_traced(
-            netlist,
-            config.strategy,
-            seq,
-            faults.iter().copied(),
-            hybrid_config,
-            sink,
-        );
-        emit_run_end(sink, &outcome);
-        Ok(outcome)
+        let engine = format!("hybrid-{}", slug(config.strategy));
+        bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
+            Ok(hybrid::run_traced(
+                netlist,
+                config.strategy,
+                seq,
+                faults.iter().copied(),
+                hybrid_config,
+                sink,
+            ))
+        })
     }
 }
 

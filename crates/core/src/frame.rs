@@ -1,11 +1,21 @@
-//! The dense frame kernel shared by `simb`, `pfsim` and `sim3`: one
-//! levelized frame pass and one next-state step, generic over the value
-//! domain ([`Logic`]) and the fault injector ([`Inject`]). The kernel alone
-//! fixes *where* a stuck-at fault can force a value — every stem, gate
-//! input pin and D pin; an injector only says *what* is forced there.
+//! The frame kernels of the fault simulators.
+//!
+//! The dense kernel, shared by `simb`, `pfsim` and `sim3`, is one levelized
+//! frame pass and one next-state step, generic over the value domain
+//! ([`Logic`]) and the fault injector ([`Inject`]). It alone fixes *where* a
+//! stuck-at fault can force a value — every stem, gate input pin and D pin;
+//! an injector only says *what* is forced there.
+//!
+//! The sparse kernel ([`Sparse`]), shared by `FaultSim3` and
+//! `SymbolicFaultSim`, is event-driven single-fault propagation: one
+//! fault's effect is pushed from the fault site and from the diverged
+//! flip-flops through the levelized circuit, against an already evaluated
+//! fault-free frame. It is generic over any value type with a (fallible)
+//! gate evaluator — `V3` or BDDs — and forces the stuck value at the same
+//! leads as the dense kernel, through a [`Stuck`] injector.
 
 use motsim_logic::{fold_gate, Logic};
-use motsim_netlist::{Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
 
 use crate::faults::Fault;
 
@@ -29,6 +39,28 @@ impl<L: Logic> Inject<L> for Option<Fault> {
         match self {
             Some(f) if f.lead == lead => L::from_bool(f.stuck),
             _ => v,
+        }
+    }
+}
+
+/// A single stuck-at fault with its stuck value in the domain `L`.
+struct Stuck<L> {
+    fault: Fault,
+    value: L,
+}
+
+impl<L: Clone> Inject<L> for Stuck<L> {
+    #[inline]
+    fn stem(&self, net: NetId, v: L) -> L {
+        self.pin(Lead::stem(net), v)
+    }
+
+    #[inline]
+    fn pin(&self, lead: Lead, v: L) -> L {
+        if self.fault.lead == lead {
+            self.value.clone()
+        } else {
+            v
         }
     }
 }
@@ -91,5 +123,279 @@ pub(crate) fn next_state<L: Logic>(
     for (s, &q) in state.iter_mut().zip(netlist.dffs()) {
         let d = netlist.dff_d(q);
         *s = inject.pin(Lead::branch(d, q, 0), values[d.index()]);
+    }
+}
+
+/// Scratch memory of the sparse single-fault pass, reused across faults
+/// and frames so a pass allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Sparse<'a, V> {
+    netlist: &'a Netlist,
+    /// Faulty value per net; `None` where it equals the fault-free frame.
+    fval: Vec<Option<V>>,
+    /// The nets with a `Some` entry in `fval`, in the order they diverged.
+    diverged: Vec<NetId>,
+    queue: LevelQueue,
+    fanin: Vec<V>,
+}
+
+/// Gates waiting for evaluation, bucketed by level; each is queued at
+/// most once per pass.
+#[derive(Debug, Clone)]
+struct LevelQueue {
+    queued: Vec<bool>,
+    buckets: Vec<Vec<NetId>>,
+}
+
+// `push` and `push_fanout` run once per fanout branch of every diverged
+// net; left to the inliner, they stay calls and slow the pass measurably.
+impl LevelQueue {
+    #[inline(always)]
+    fn push(&mut self, netlist: &Netlist, net: NetId) {
+        if netlist.net(net).kind().is_gate() && !self.queued[net.index()] {
+            self.queued[net.index()] = true;
+            self.buckets[netlist.level(net) as usize].push(net);
+        }
+    }
+
+    #[inline(always)]
+    fn push_fanout(&mut self, netlist: &Netlist, net: NetId) {
+        for &(sink, _) in netlist.fanout(net) {
+            self.push(netlist, sink);
+        }
+    }
+
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            for &g in bucket.iter() {
+                self.queued[g.index()] = false;
+            }
+            bucket.clear();
+        }
+    }
+}
+
+/// One fault's frame after [`Sparse::propagate`]: the faulty value of every
+/// net, for the engine's observation rule and the faulty next state.
+/// Dropping it clears the pass's scratch, so no value outlives the fault.
+pub(crate) struct Faulty<'s, 'a, V: Clone + PartialEq> {
+    pass: &'s mut Sparse<'a, V>,
+    good: &'s [V],
+    stuck: Stuck<V>,
+}
+
+impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
+    pub(crate) fn new(netlist: &'a Netlist) -> Self {
+        Sparse {
+            netlist,
+            fval: vec![None; netlist.num_nets()],
+            diverged: Vec::new(),
+            queue: LevelQueue {
+                queued: vec![false; netlist.num_nets()],
+                buckets: vec![Vec::new(); netlist.depth() as usize + 1],
+            },
+            fanin: Vec::with_capacity(8),
+        }
+    }
+
+    /// Propagates `fault` through one frame, from the flip-flops whose
+    /// faulty present state `state` differs from the fault-free `good_state`
+    /// and from the fault site, visiting in level order only the gates a
+    /// diverged net feeds. `good` is the fault-free frame, `forced` the
+    /// stuck value in the domain and `eval` the gate evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Returns the evaluator's first error, with the scratch cleared.
+    pub(crate) fn propagate<'s, E>(
+        &'s mut self,
+        good: &'s [V],
+        good_state: &[V],
+        state: &[V],
+        fault: Fault,
+        forced: V,
+        eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
+    ) -> Result<Faulty<'s, 'a, V>, E> {
+        let mut faulty = Faulty {
+            pass: self,
+            good,
+            stuck: Stuck {
+                fault,
+                value: forced,
+            },
+        };
+        if let Err(e) = faulty.spread(good_state, state, eval) {
+            faulty.pass.queue.clear();
+            return Err(e);
+        }
+        Ok(faulty)
+    }
+}
+
+impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
+    /// The faulty value of `net`.
+    #[inline]
+    pub(crate) fn value(&self, net: NetId) -> &V {
+        self.pass.fval[net.index()]
+            .as_ref()
+            .unwrap_or(&self.good[net.index()])
+    }
+
+    /// Whether `net` was set by the pass: a diverged net or the fault site.
+    pub(crate) fn diverged(&self, net: NetId) -> bool {
+        self.pass.fval[net.index()].is_some()
+    }
+
+    /// How many nets were set by the pass.
+    pub(crate) fn diverged_nets(&self) -> usize {
+        self.pass.diverged.len()
+    }
+
+    /// The faulty next state: each flip-flop stores what its D pin receives.
+    pub(crate) fn next_state(&self) -> impl Iterator<Item = V> + use<'_, 's, 'a, V> {
+        let netlist = self.pass.netlist;
+        netlist.dffs().iter().map(move |&q| {
+            let d = netlist.dff_d(q);
+            self.stuck.pin(Lead::branch(d, q, 0), self.value(d).clone())
+        })
+    }
+
+    /// Seeds the pass and runs it level by level; returns with the queue
+    /// empty unless the evaluator fails.
+    fn spread<E>(
+        &mut self,
+        good_state: &[V],
+        state: &[V],
+        mut eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
+    ) -> Result<(), E> {
+        let (good, stuck) = (self.good, &self.stuck);
+        let Sparse {
+            netlist,
+            fval,
+            diverged,
+            queue,
+            fanin,
+        } = &mut *self.pass;
+        let netlist: &Netlist = netlist;
+        let mut set = |fval: &mut [Option<V>], net: NetId, v: V| {
+            if fval[net.index()].replace(v).is_none() {
+                diverged.push(net);
+            }
+        };
+        // Seed 1: flip-flops whose faulty state differs.
+        for (i, &q) in netlist.dffs().iter().enumerate() {
+            if state[i] != good_state[i] {
+                set(fval, q, state[i].clone());
+                queue.push_fanout(netlist, q);
+            }
+        }
+        // Seed 2: the fault site. A branch fault re-evaluates its sink gate
+        // (one into a D pin only acts on the next state).
+        match stuck.fault.lead.sink {
+            None => {
+                let n = stuck.fault.lead.net;
+                set(fval, n, stuck.value.clone());
+                if good[n.index()] != stuck.value {
+                    queue.push_fanout(netlist, n);
+                }
+            }
+            Some((sink, _)) => queue.push(netlist, sink),
+        }
+        for lvl in 0..queue.buckets.len() {
+            let mut idx = 0;
+            while let Some(&g) = queue.buckets[lvl].get(idx) {
+                idx += 1;
+                // Only gates of lower levels queue `g`: it cannot return.
+                queue.queued[g.index()] = false;
+                let net = netlist.net(g);
+                let NodeKind::Gate(kind) = net.kind() else {
+                    unreachable!("only gates are queued")
+                };
+                fanin.clear();
+                for (pin, &f) in net.fanin().iter().enumerate() {
+                    let v = fval[f.index()].as_ref().unwrap_or(&good[f.index()]);
+                    fanin.push(stuck.pin(Lead::branch(f, g, pin as u32), v.clone()));
+                }
+                let out = stuck.stem(g, eval(kind, fanin)?);
+                if out != good[g.index()] {
+                    set(fval, g, out);
+                    queue.push_fanout(netlist, g);
+                }
+            }
+            queue.buckets[lvl].clear();
+        }
+        Ok(())
+    }
+}
+
+impl<V: Clone + PartialEq> Drop for Faulty<'_, '_, V> {
+    fn drop(&mut self) {
+        let pass = &mut *self.pass;
+        for &n in &pass.diverged {
+            pass.fval[n.index()] = None;
+        }
+        pass.diverged.clear();
+        pass.fanin.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::convert::Infallible;
+
+    use motsim_logic::{eval_gate, V3};
+
+    use super::*;
+    use crate::faults::FaultList;
+    use crate::pattern::TestSequence;
+    use crate::sim3::{eval_frame_with_fault, next_state_with_fault, TrueSim};
+
+    /// For every collapsed fault, the sparse three-valued pass gives every
+    /// net the dense reference's faulty value and the same faulty next
+    /// state, frame by frame.
+    fn sparse_v3_matches_dense(netlist: &Netlist) {
+        let seq = TestSequence::random(netlist, 40, 17);
+        let mut sparse = Sparse::new(netlist);
+        let mut dense = Vec::new();
+        for &fault in FaultList::collapsed(netlist).iter() {
+            let mut good = TrueSim::new(netlist);
+            let mut state = vec![V3::X; netlist.num_dffs()];
+            let mut dense_state = state.clone();
+            for (t, v) in seq.iter().enumerate() {
+                let good_state = good.state().to_vec();
+                good.step(v);
+                eval_frame_with_fault(netlist, &dense_state, v, fault, &mut dense);
+                next_state_with_fault(netlist, &dense, fault, &mut dense_state);
+                let Ok(faulty) = sparse.propagate(
+                    good.values(),
+                    &good_state,
+                    &state,
+                    fault,
+                    V3::from_bool(fault.stuck),
+                    |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
+                );
+                for id in netlist.net_ids() {
+                    assert_eq!(
+                        *faulty.value(id),
+                        dense[id.index()],
+                        "{} frame {t}: net {}",
+                        fault.display(netlist),
+                        netlist.net(id).name()
+                    );
+                }
+                state = faulty.next_state().collect();
+                assert_eq!(state, dense_state, "{} frame {t}", fault.display(netlist));
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_v3_matches_dense_on_s27() {
+        sparse_v3_matches_dense(&motsim_circuits::s27());
+    }
+
+    #[test]
+    fn sparse_v3_matches_dense_on_counter6() {
+        sparse_v3_matches_dense(&motsim_circuits::generators::counter(6));
     }
 }

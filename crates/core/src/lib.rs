@@ -36,10 +36,13 @@
 //! 64 Boolean lanes and for [`V3`](motsim_logic::V3)) and over a fault
 //! injector (one [`Fault`] forced in every lane, or `pfsim`'s per-lane
 //! set/clear masks). The kernel alone decides where a stuck-at fault forces
-//! a value. Three loops stay separate because they compute something else:
-//! [`FaultSim3`](sim3::FaultSim3)'s sparse event-driven fault propagation,
-//! the fallible BDD evaluators of [`symbolic`], and the lattice passes of
-//! [`xred`] and [`testability`].
+//! a value. Next to it, one sparse pass implements event-driven
+//! single-fault propagation for both [`FaultSim3`](sim3::FaultSim3) (over
+//! `V3`) and [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs,
+//! with a fallible gate evaluator); the two engines keep only their
+//! observation rules. Two loops stay separate because they compute
+//! something else: the fallible dense BDD evaluators of [`symbolic`], and
+//! the lattice passes of [`xred`] and [`testability`].
 //!
 //! Around the pipeline, the crate ships the downstream tooling a fault
 //! simulator enables:

@@ -9,8 +9,10 @@
 //! *lower bound* on the true fault coverage — that gap is what the symbolic
 //! engines close.
 
+use std::convert::Infallible;
+
 use motsim_logic::{eval_gate, V3};
-use motsim_netlist::{Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::{NetId, Netlist};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
@@ -163,12 +165,7 @@ pub struct FaultSim3<'a> {
     netlist: &'a Netlist,
     truesim: TrueSim<'a>,
     records: Vec<FaultRecord>,
-    // Scratch (reused across faults/frames):
-    fval: Vec<V3>,
-    fstamp: Vec<u32>,
-    stamp: u32,
-    queued: Vec<u32>,
-    buckets: Vec<Vec<NetId>>,
+    sparse: frame::Sparse<'a, V3>,
     frame: usize,
     trace_offset: usize,
 }
@@ -185,17 +182,11 @@ impl<'a> FaultSim3<'a> {
                 detection: None,
             })
             .collect();
-        let nets = netlist.num_nets();
-        let depth = netlist.depth() as usize;
         FaultSim3 {
             netlist,
             truesim: TrueSim::new(netlist),
             records,
-            fval: vec![V3::X; nets],
-            fstamp: vec![0; nets],
-            stamp: 0,
-            queued: vec![0; nets],
-            buckets: vec![Vec::new(); depth + 1],
+            sparse: frame::Sparse::new(netlist),
             frame: 0,
             trace_offset: 0,
         }
@@ -309,16 +300,35 @@ impl<'a> FaultSim3<'a> {
         // Keep the pre-frame fault-free state for seeding faulty machines.
         let prev_state: Vec<V3> = self.truesim.state().to_vec();
         self.truesim.step(inputs);
+        let good = self.truesim.values();
         let mut newly = Vec::new();
-        // Move records out to appease the borrow checker (cheap: Vec move).
-        let mut records = std::mem::take(&mut self.records);
-        for rec in records.iter_mut().filter(|r| r.detection.is_none()) {
-            if let Some(det) = self.simulate_fault_frame(rec, &prev_state) {
+        for rec in self.records.iter_mut().filter(|r| r.detection.is_none()) {
+            let forced = V3::from_bool(rec.fault.stuck);
+            let Ok(faulty) = self.sparse.propagate(
+                good,
+                &prev_state,
+                &rec.state,
+                rec.fault,
+                forced,
+                |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
+            );
+            // Three-valued SOT rule.
+            let output = self.netlist.outputs().iter().position(|&o| {
+                let (tv, fv) = (good[o.index()], *faulty.value(o));
+                tv.is_known() && fv.is_known() && tv != fv
+            });
+            for (s, v) in rec.state.iter_mut().zip(faulty.next_state()) {
+                *s = v;
+            }
+            if let Some(output) = output {
+                let det = Detection {
+                    frame: self.frame,
+                    output,
+                };
                 rec.detection = Some(det);
                 newly.push((rec.fault, det));
             }
         }
-        self.records = records;
         self.frame += 1;
         newly
     }
@@ -341,138 +351,6 @@ impl<'a> FaultSim3<'a> {
         }
         newly
     }
-
-    /// Effective faulty value of a net for the current fault pass.
-    #[inline]
-    fn faulty_value(&self, n: NetId) -> V3 {
-        if self.fstamp[n.index()] == self.stamp {
-            self.fval[n.index()]
-        } else {
-            self.truesim.values()[n.index()]
-        }
-    }
-
-    fn set_faulty(&mut self, n: NetId, v: V3) {
-        self.fval[n.index()] = v;
-        self.fstamp[n.index()] = self.stamp;
-    }
-
-    fn enqueue_sinks(&mut self, n: NetId) {
-        let netlist = self.netlist;
-        for &(sink, _) in netlist.fanout(n) {
-            if netlist.net(sink).kind().is_gate() && self.queued[sink.index()] != self.stamp {
-                self.queued[sink.index()] = self.stamp;
-                self.buckets[netlist.level(sink) as usize].push(sink);
-            }
-        }
-    }
-
-    /// Runs one frame of the faulty machine `rec` against the already
-    /// simulated fault-free frame; updates the faulty state and returns a
-    /// detection if a primary output exposes the fault.
-    fn simulate_fault_frame(
-        &mut self,
-        rec: &mut FaultRecord,
-        prev_true_state: &[V3],
-    ) -> Option<Detection> {
-        let netlist = self.netlist;
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Extremely rare wrap: invalidate all stamps.
-            self.fstamp.fill(u32::MAX);
-            self.queued.fill(u32::MAX);
-            self.stamp = 1;
-        }
-        for b in &mut self.buckets {
-            b.clear();
-        }
-
-        // Seed 1: flip-flops whose faulty state differs from the fault-free
-        // present state of this frame.
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            if rec.state[i] != prev_true_state[i] {
-                self.set_faulty(q, rec.state[i]);
-                self.enqueue_sinks(q);
-            }
-        }
-        // Seed 2: the fault site.
-        let forced = V3::from_bool(rec.fault.stuck);
-        match rec.fault.lead.sink {
-            None => {
-                let n = rec.fault.lead.net;
-                self.set_faulty(n, forced);
-                if self.truesim.values()[n.index()] != forced {
-                    self.enqueue_sinks(n);
-                }
-            }
-            Some((sink, _)) => {
-                // Branch fault: the sink re-evaluates with the forced pin.
-                if netlist.net(sink).kind().is_gate() && self.queued[sink.index()] != self.stamp {
-                    self.queued[sink.index()] = self.stamp;
-                    self.buckets[netlist.level(sink) as usize].push(sink);
-                }
-                // A branch fault into a flip-flop D pin is handled at the
-                // state-update step below.
-            }
-        }
-
-        // Event-driven propagation in level order.
-        let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-        for lvl in 0..self.buckets.len() {
-            let mut idx = 0;
-            while idx < self.buckets[lvl].len() {
-                let g = self.buckets[lvl][idx];
-                idx += 1;
-                let net = netlist.net(g);
-                let NodeKind::Gate(kind) = net.kind() else {
-                    continue;
-                };
-                fanin_buf.clear();
-                for (pin, &f) in net.fanin().iter().enumerate() {
-                    let mut v = self.faulty_value(f);
-                    if rec.fault.lead == Lead::branch(f, g, pin as u32) {
-                        v = forced;
-                    }
-                    fanin_buf.push(v);
-                }
-                let mut out = eval_gate(kind, &fanin_buf);
-                if rec.fault.lead == Lead::stem(g) {
-                    out = forced;
-                }
-                if out != self.faulty_value(g) {
-                    self.set_faulty(g, out);
-                    self.enqueue_sinks(g);
-                }
-            }
-        }
-
-        // Observation: three-valued SOT rule.
-        let mut detection = None;
-        for (j, &o) in netlist.outputs().iter().enumerate() {
-            let tv = self.truesim.values()[o.index()];
-            let fv = self.faulty_value(o);
-            if tv.is_known() && fv.is_known() && tv != fv {
-                detection = Some(Detection {
-                    frame: self.frame,
-                    output: j,
-                });
-                break;
-            }
-        }
-
-        // Faulty next state.
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            let d = netlist.dff_d(q);
-            let mut v = self.faulty_value(d);
-            // Branch fault directly on this D pin forces the stored value.
-            if rec.fault.lead == Lead::branch(d, q, 0) {
-                v = forced;
-            }
-            rec.state[i] = v;
-        }
-
-        detection
-    }
 }
 
 #[cfg(test)]
@@ -481,6 +359,7 @@ mod tests {
     use crate::faults::FaultList;
     use motsim_netlist::builder::NetlistBuilder;
     use motsim_netlist::GateKind;
+    use motsim_netlist::Lead;
 
     /// Z = NAND(A, Q); Q = DFF(Z) — tiny oscillating circuit.
     fn nand_loop() -> Netlist {

@@ -30,10 +30,11 @@
 
 use motsim_bdd::{Bdd, BddError, BddManager, VarId};
 use motsim_logic::V3;
-use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::{GateKind, Netlist, NodeKind};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
+use crate::frame::{Faulty, Sparse};
 use crate::pattern::TestSequence;
 use crate::report::{BddUsage, Detection, FaultOutcome, SimOutcome};
 
@@ -284,6 +285,7 @@ pub struct SymbolicFaultSim<'a> {
     true_state: Vec<Bdd>,
     values: Vec<Bdd>,
     records: Vec<SymFaultRecord>,
+    sparse: Sparse<'a, Bdd>,
     frame: usize,
     gc_threshold: usize,
     degraded_terms: usize,
@@ -298,7 +300,7 @@ struct FaultUpdate {
     state: Vec<Bdd>,
     detection: Option<Detection>,
     /// Nets of the faulty machine that diverged from the fault-free frame
-    /// (the size of the event-driven propagation's dirty set).
+    /// (the sparse pass's diverged-net count).
     events: usize,
 }
 
@@ -353,6 +355,7 @@ impl<'a> SymbolicFaultSim<'a> {
             true_state,
             values,
             records: Vec::new(),
+            sparse: Sparse::new(netlist),
             frame: 0,
             gc_threshold: 1 << 20,
             degraded_terms: 0,
@@ -553,14 +556,10 @@ impl<'a> SymbolicFaultSim<'a> {
     ///
     /// Fails with [`BddError::NodeLimit`] as described above.
     pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
-        match self.step_attempt(inputs) {
-            Ok(newly) => Ok(newly),
-            Err(BddError::NodeLimit { .. }) => {
-                // One self-healing attempt: drop garbage and redo the frame.
-                self.mgr.gc();
-                self.step_attempt(inputs)
-            }
-        }
+        // One self-healing attempt: drop garbage and redo the frame.
+        self.mgr
+            .clone()
+            .retry_after_gc(|| self.step_attempt(inputs))
     }
 
     /// Like [`step`](Self::step), additionally reporting a successful frame
@@ -617,25 +616,30 @@ impl<'a> SymbolicFaultSim<'a> {
             e_all_failed: false,
         };
 
-        // 3. Per-fault propagation into staged updates.
+        // 3. Per-fault propagation and observation into staged updates.
         let mut updates: Vec<FaultUpdate> = Vec::new();
         let mut skipped = 0usize;
         for (i, rec) in self.records.iter().enumerate() {
             if rec.detection.is_some() {
                 continue;
             }
-            let update = propagate_fault(
-                self.netlist,
-                &self.mgr,
-                self.strategy,
-                &mut frame,
+            let faulty = self.sparse.propagate(
+                &values,
                 &self.true_state,
-                rec,
-                i,
-                self.frame,
-                &mut skipped,
+                &rec.state,
+                rec.fault,
+                self.mgr.constant(rec.fault.stuck),
+                |kind, pins| eval_gate_bdd(&self.mgr, kind, pins),
             )?;
-            updates.push(update);
+            let (det, detection) =
+                frame.observe(self.strategy, &faulty, &rec.det, self.frame, &mut skipped);
+            updates.push(FaultUpdate {
+                index: i,
+                det,
+                state: faulty.next_state().collect(),
+                detection,
+                events: faulty.diverged_nets(),
+            });
         }
 
         // 4. Commit.
@@ -713,16 +717,11 @@ impl FrameCtx<'_> {
                 limit: self.mgr.node_limit().unwrap_or(0),
             });
         }
-        let build = || -> Result<Bdd, BddError> {
-            let o = &self.values[self.netlist.outputs()[j].index()];
-            let oy = o.rename(self.rename_map)?;
-            o.equiv(&oy)
-        };
-        let e = build().or_else(|_| {
-            self.mgr.gc();
-            build()
-        });
-        match e {
+        let o = &self.values[self.netlist.outputs()[j].index()];
+        match self
+            .mgr
+            .retry_after_gc(|| o.equiv(&o.rename(self.rename_map)?))
+        {
             Ok(e) => {
                 self.e_terms[j] = Some(e.clone());
                 Ok(e)
@@ -746,12 +745,9 @@ impl FrameCtx<'_> {
         }
         let mut acc = self.mgr.one();
         for j in 0..self.netlist.num_outputs() {
-            let r = self.e_term(j).and_then(|e| {
-                acc.and(&e).or_else(|_| {
-                    self.mgr.gc();
-                    acc.and(&e)
-                })
-            });
+            let r = self
+                .e_term(j)
+                .and_then(|e| self.mgr.retry_after_gc(|| acc.and(&e)));
             match r {
                 Ok(next) => acc = next,
                 Err(err) => {
@@ -762,6 +758,71 @@ impl FrameCtx<'_> {
         }
         self.e_all = Some(acc.clone());
         Ok(acc)
+    }
+
+    /// Applies the observation rule of `strategy` to one fault's frame:
+    /// multiplies this frame's terms into the fault's detection function
+    /// `det` and reports the detection if it fires at frame `frame_no`.
+    fn observe(
+        &mut self,
+        strategy: Strategy,
+        faulty: &Faulty<'_, '_, Bdd>,
+        det: &Bdd,
+        frame_no: usize,
+        skipped: &mut usize,
+    ) -> (Bdd, Option<Detection>) {
+        let (values, mgr, outputs) = (self.values, self.mgr, self.netlist.outputs());
+        let at = |output| {
+            Some(Detection {
+                frame: frame_no,
+                output,
+            })
+        };
+        let mut det = det.clone();
+        match strategy {
+            Strategy::Sot => {
+                let hit = outputs.iter().position(|&o| {
+                    let (ov, fv) = (&values[o.index()], faulty.value(o));
+                    fv != ov && ov.is_const() && fv.is_const()
+                });
+                (det, hit.and_then(at))
+            }
+            Strategy::Rmot => {
+                for (j, &o) in outputs.iter().enumerate() {
+                    let (ov, fv) = (&values[o.index()], faulty.value(o));
+                    if fv == ov || !ov.is_const() {
+                        continue; // term is 1 or not admissible for rMOT
+                    }
+                    let term = mgr.retry_after_gc(|| ov.equiv(fv));
+                    det = and_term_or_skip(mgr, &det, term, skipped);
+                    if det.is_false() {
+                        return (det, at(j));
+                    }
+                }
+                (det, None)
+            }
+            // No output changed: the whole-frame factor.
+            Strategy::Mot if !outputs.iter().any(|&o| faulty.diverged(o)) => {
+                let det = and_term_or_skip(mgr, &det, self.e_all(), skipped);
+                let hit = if det.is_false() { at(0) } else { None };
+                (det, hit)
+            }
+            Strategy::Mot => {
+                for (j, &o) in outputs.iter().enumerate() {
+                    let term = if faulty.diverged(o) {
+                        let fy = || faulty.value(o).rename(self.rename_map);
+                        mgr.retry_after_gc(|| values[o.index()].equiv(&fy()?))
+                    } else {
+                        self.e_term(j)
+                    };
+                    det = and_term_or_skip(mgr, &det, term, skipped);
+                    if det.is_false() {
+                        return (det, at(j));
+                    }
+                }
+                (det, None)
+            }
+        }
     }
 }
 
@@ -774,221 +835,13 @@ fn and_term_or_skip(
     term: Result<Bdd, BddError>,
     skipped: &mut usize,
 ) -> Bdd {
-    let Ok(term) = term else {
-        *skipped += 1;
-        return det.clone();
-    };
-    match det.and(&term) {
+    match term.and_then(|term| mgr.retry_after_gc(|| det.and(&term))) {
         Ok(r) => r,
         Err(_) => {
-            mgr.gc();
-            match det.and(&term) {
-                Ok(r) => r,
-                Err(_) => {
-                    *skipped += 1;
-                    det.clone()
-                }
-            }
+            *skipped += 1;
+            det.clone()
         }
     }
-}
-
-/// Event-driven single-fault propagation for one fault and one frame.
-#[allow(clippy::too_many_arguments)]
-fn propagate_fault(
-    netlist: &Netlist,
-    mgr: &BddManager,
-    strategy: Strategy,
-    frame_ctx: &mut FrameCtx<'_>,
-    true_state: &[Bdd],
-    rec: &SymFaultRecord,
-    index: usize,
-    frame_no: usize,
-    skipped: &mut usize,
-) -> Result<FaultUpdate, BddError> {
-    let values = frame_ctx.values;
-    let forced = mgr.constant(rec.fault.stuck);
-
-    // Sparse faulty values: only nets that (may) diverge.
-    let mut dirty: std::collections::HashMap<u32, Bdd> = std::collections::HashMap::new();
-    let mut queued: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let depth = netlist.depth() as usize;
-    let mut buckets: Vec<Vec<NetId>> = vec![Vec::new(); depth + 1];
-
-    let enqueue =
-        |n: NetId, buckets: &mut Vec<Vec<NetId>>, queued: &mut std::collections::HashSet<u32>| {
-            if netlist.net(n).kind().is_gate() && queued.insert(n.index() as u32) {
-                buckets[netlist.level(n) as usize].push(n);
-            }
-        };
-
-    // Seed 1: state divergence.
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        if rec.state[i] != true_state[i] {
-            dirty.insert(q.index() as u32, rec.state[i].clone());
-            for &(sink, _) in netlist.fanout(q) {
-                enqueue(sink, &mut buckets, &mut queued);
-            }
-        }
-    }
-    // Seed 2: the fault site.
-    match rec.fault.lead.sink {
-        None => {
-            let n = rec.fault.lead.net;
-            dirty.insert(n.index() as u32, forced.clone());
-            if values[n.index()] != forced {
-                for &(sink, _) in netlist.fanout(n) {
-                    enqueue(sink, &mut buckets, &mut queued);
-                }
-            }
-        }
-        Some((sink, _)) => {
-            enqueue(sink, &mut buckets, &mut queued);
-        }
-    }
-
-    let faulty_value = |n: NetId, dirty: &std::collections::HashMap<u32, Bdd>| -> Bdd {
-        dirty
-            .get(&(n.index() as u32))
-            .cloned()
-            .unwrap_or_else(|| values[n.index()].clone())
-    };
-
-    // Level-ordered propagation.
-    let mut fanin_buf: Vec<Bdd> = Vec::with_capacity(8);
-    for lvl in 0..buckets.len() {
-        let mut idx = 0;
-        while idx < buckets[lvl].len() {
-            let g = buckets[lvl][idx];
-            idx += 1;
-            let net = netlist.net(g);
-            let NodeKind::Gate(kind) = net.kind() else {
-                continue;
-            };
-            fanin_buf.clear();
-            for (pin, &f) in net.fanin().iter().enumerate() {
-                let v = if rec.fault.lead == Lead::branch(f, g, pin as u32) {
-                    forced.clone()
-                } else {
-                    faulty_value(f, &dirty)
-                };
-                fanin_buf.push(v);
-            }
-            let mut out = eval_gate_bdd(mgr, kind, &fanin_buf)?;
-            if rec.fault.lead == Lead::stem(g) {
-                out = forced.clone();
-            }
-            if out != values[g.index()] {
-                dirty.insert(g.index() as u32, out);
-                for &(sink, _) in netlist.fanout(g) {
-                    enqueue(sink, &mut buckets, &mut queued);
-                }
-            }
-        }
-    }
-
-    // Observation.
-    let mut det = rec.det.clone();
-    let mut detection: Option<Detection> = None;
-    match strategy {
-        Strategy::Sot => {
-            for (j, &o) in netlist.outputs().iter().enumerate() {
-                let ov = &values[o.index()];
-                let fv = faulty_value(o, &dirty);
-                if fv != *ov && ov.is_const() && fv.is_const() {
-                    detection = Some(Detection {
-                        frame: frame_no,
-                        output: j,
-                    });
-                    break;
-                }
-            }
-        }
-        Strategy::Rmot => {
-            for (j, &o) in netlist.outputs().iter().enumerate() {
-                let ov = &values[o.index()];
-                let fv = faulty_value(o, &dirty);
-                if fv == *ov || !ov.is_const() {
-                    continue; // term is 1 or not admissible for rMOT
-                }
-                let term = ov.equiv(&fv).or_else(|_| {
-                    mgr.gc();
-                    ov.equiv(&fv)
-                });
-                det = and_term_or_skip(mgr, &det, term, skipped);
-                if det.is_false() {
-                    detection = Some(Detection {
-                        frame: frame_no,
-                        output: j,
-                    });
-                    break;
-                }
-            }
-        }
-        Strategy::Mot => {
-            // Any output changed for this fault?
-            let changed: Vec<usize> = netlist
-                .outputs()
-                .iter()
-                .enumerate()
-                .filter(|(_, &o)| dirty.contains_key(&(o.index() as u32)))
-                .map(|(j, _)| j)
-                .collect();
-            if changed.is_empty() {
-                let e = frame_ctx.e_all();
-                det = and_term_or_skip(mgr, &det, e, skipped);
-                if det.is_false() {
-                    detection = Some(Detection {
-                        frame: frame_no,
-                        output: 0,
-                    });
-                }
-            } else {
-                for (j, &o) in netlist.outputs().iter().enumerate() {
-                    let term = if changed.contains(&j) {
-                        let build = || -> Result<Bdd, BddError> {
-                            let fv = faulty_value(o, &dirty);
-                            let fy = fv.rename(frame_ctx.rename_map)?;
-                            values[o.index()].equiv(&fy)
-                        };
-                        build().or_else(|_| {
-                            mgr.gc();
-                            build()
-                        })
-                    } else {
-                        frame_ctx.e_term(j)
-                    };
-                    det = and_term_or_skip(mgr, &det, term, skipped);
-                    if det.is_false() {
-                        detection = Some(Detection {
-                            frame: frame_no,
-                            output: j,
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // Faulty next state.
-    let mut state = Vec::with_capacity(netlist.num_dffs());
-    for &q in netlist.dffs() {
-        let d = netlist.dff_d(q);
-        let mut v = faulty_value(d, &dirty);
-        if rec.fault.lead == Lead::branch(d, q, 0) {
-            v = forced.clone();
-        }
-        state.push(v);
-    }
-
-    Ok(FaultUpdate {
-        index,
-        det,
-        state,
-        detection,
-        events: dirty.len(),
-    })
 }
 
 #[cfg(test)]
@@ -997,6 +850,7 @@ mod tests {
     use crate::exhaustive::{verdict_from, ResponseMatrix};
     use crate::faults::FaultList;
     use motsim_netlist::builder::NetlistBuilder;
+    use motsim_netlist::Lead;
 
     /// Cross-engine oracle: the symbolic verdicts must match exhaustive
     /// enumeration for every collapsed fault.

@@ -197,11 +197,7 @@ impl SymbolicOutputSequence {
     /// `a ∧ b`; on a node-limit hit, collects garbage and retries, then
     /// lifts the limit if that is not enough.
     fn and_collecting(&self, a: &Bdd, b: &Bdd) -> Bdd {
-        if let Ok(r) = a.and(b) {
-            return r;
-        }
-        self.mgr.gc();
-        a.and(b).unwrap_or_else(|_| {
+        self.mgr.retry_after_gc(|| a.and(b)).unwrap_or_else(|_| {
             self.mgr.set_node_limit(None);
             a.and(b).expect("no node limit")
         })

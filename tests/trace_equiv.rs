@@ -184,3 +184,125 @@ fn sim3_engine_emits_one_tv_frame_per_vector() {
     };
     assert_eq!(*detected, outcome.num_detected());
 }
+
+/// One `SymFrame` event: `(frame, live, peak, hits, misses, events,
+/// detected)`.
+type SymRow = (usize, usize, usize, u64, u64, usize, usize);
+
+fn sym_frames(events: &[TraceEvent]) -> Vec<SymRow> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::SymFrame {
+                frame,
+                live,
+                peak,
+                hits,
+                misses,
+                events,
+                detected,
+            } => Some((frame, live, peak, hits, misses, events, detected)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// s27 under pure symbolic MOT, 20 frames (seed 5).
+const S27_MOT: [SymRow; 20] = [
+    (0, 21, 21, 9, 12, 85, 0),
+    (1, 31, 31, 19, 24, 117, 0),
+    (2, 33, 33, 37, 36, 167, 0),
+    (3, 33, 33, 56, 38, 196, 0),
+    (4, 33, 33, 76, 38, 199, 0),
+    (5, 36, 36, 76, 42, 92, 8),
+    (6, 36, 36, 76, 46, 33, 0),
+    (7, 36, 36, 77, 46, 37, 0),
+    (8, 36, 36, 78, 46, 44, 2),
+    (9, 36, 36, 79, 46, 36, 0),
+    (10, 36, 36, 80, 46, 36, 0),
+    (11, 36, 36, 81, 46, 43, 2),
+    (12, 36, 36, 81, 46, 56, 10),
+    (13, 36, 36, 81, 46, 15, 1),
+    (14, 36, 36, 81, 46, 23, 4),
+    (15, 36, 36, 81, 46, 5, 0),
+    (16, 36, 36, 81, 46, 13, 1),
+    (17, 36, 36, 81, 46, 5, 0),
+    (18, 36, 36, 81, 46, 6, 0),
+    (19, 36, 36, 81, 46, 10, 0),
+];
+
+/// g208 under the hybrid MOT engine at a 2,000-node limit, 40 frames
+/// (seed 3): frames 3–10 fall back to three-valued simulation.
+const G208_HYBRID_2000: [SymRow; 32] = [
+    (0, 373, 373, 193, 312, 687, 0),
+    (1, 1012, 1578, 1039, 1796, 1179, 1),
+    (2, 1202, 1830, 2011, 3829, 1096, 0),
+    (11, 111, 111, 17, 83, 306, 0),
+    (12, 183, 183, 66, 156, 337, 0),
+    (13, 185, 185, 128, 188, 444, 0),
+    (14, 191, 191, 209, 214, 423, 1),
+    (15, 196, 196, 273, 231, 298, 0),
+    (16, 196, 196, 341, 233, 306, 0),
+    (17, 196, 196, 402, 233, 298, 0),
+    (18, 213, 213, 478, 258, 321, 0),
+    (19, 229, 229, 555, 286, 348, 0),
+    (20, 234, 234, 578, 303, 304, 0),
+    (21, 259, 259, 660, 338, 311, 0),
+    (22, 278, 278, 746, 364, 334, 0),
+    (23, 278, 278, 817, 370, 437, 0),
+    (24, 278, 278, 891, 371, 396, 1),
+    (25, 278, 278, 957, 371, 317, 0),
+    (26, 283, 283, 1040, 382, 435, 0),
+    (27, 303, 303, 1121, 409, 303, 0),
+    (28, 319, 319, 1212, 433, 345, 0),
+    (29, 352, 352, 1243, 471, 371, 0),
+    (30, 378, 378, 1292, 503, 366, 0),
+    (31, 401, 401, 1385, 536, 303, 0),
+    (32, 412, 412, 1469, 550, 296, 0),
+    (33, 416, 416, 1557, 565, 303, 0),
+    (34, 422, 422, 1637, 571, 325, 0),
+    (35, 441, 441, 1724, 599, 427, 0),
+    (36, 460, 460, 1813, 620, 296, 0),
+    (37, 460, 460, 1888, 623, 317, 0),
+    (38, 464, 464, 1978, 634, 470, 0),
+    (39, 468, 468, 1998, 639, 288, 0),
+];
+
+#[test]
+fn symbolic_frame_trace_is_pinned_on_s27_mot() {
+    // Node counts, cache counters and the diverged-net count of the
+    // event-driven propagation are a fingerprint of the exact sequence of
+    // BDD operations; a refactor of the engine must leave them unchanged.
+    let n = motsim_circuits::s27();
+    let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
+    let seq = TestSequence::random(&n, 20, 5);
+    let mut sink = CollectSink::new();
+    SymbolicEngine
+        .run(
+            &n,
+            &seq,
+            &faults,
+            SimConfig::new().strategy(Strategy::Mot).sink(&mut sink),
+        )
+        .unwrap();
+    assert_eq!(sym_frames(sink.events()), S27_MOT);
+}
+
+#[test]
+fn symbolic_frame_trace_is_pinned_on_g208_hybrid() {
+    let (n, faults, seq) = setup("g208", 40, 3);
+    let mut sink = CollectSink::new();
+    let outcome = HybridEngine
+        .run(
+            &n,
+            &seq,
+            &faults,
+            SimConfig::new()
+                .strategy(Strategy::Mot)
+                .node_limit(Some(2_000))
+                .sink(&mut sink),
+        )
+        .unwrap();
+    assert_eq!(sym_frames(sink.events()), G208_HYBRID_2000);
+    assert_eq!((outcome.fallback_frames, outcome.num_detected()), (8, 3));
+}
