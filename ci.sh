@@ -76,6 +76,20 @@ sim3_trace_smoke 4
 cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/sim3_j1.jsonl"
 cmp "$TRACE_DIR/sim3_j1.jsonl" "$TRACE_DIR/sim3_j4.jsonl"
 
+echo "==> smoke: large-circuit three-valued run (g38417 sim3, --jobs 1 vs 2)"
+# ID_X-red plus three-valued simulation of g38417's 50,247 faults over 200
+# vectors: the start of a pinned stress tier. The verdict line is pinned and
+# must not depend on --jobs.
+sim3_large() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    sim3 g38417 --len 200 --jobs "$1" 2>/dev/null |
+    sed 's/ in .*//'
+}
+sim3_large 1 >"$TRACE_DIR/g38417_j1.txt"
+sim3_large 2 >"$TRACE_DIR/g38417_j2.txt"
+diff "$TRACE_DIR/g38417_j1.txt" "$TRACE_DIR/g38417_j2.txt"
+grep -q "50247 faults (28608 X-redundant eliminated): 10241 detected" "$TRACE_DIR/g38417_j1.txt"
+
 echo "==> smoke: differential fuzzing (pinned seed, determinism)"
 # The in-tree property harness must find zero counterexamples on the
 # pinned seed, and its report must be byte-identical across runs.

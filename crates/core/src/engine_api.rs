@@ -37,7 +37,7 @@ use crate::faults::Fault;
 use crate::hybrid::{self, HybridConfig, ReorderPolicy};
 use crate::pattern::TestSequence;
 use crate::report::{SimError, SimOutcome};
-use crate::sim3::FaultSim3;
+use crate::sim3::{self, Trajectory};
 use crate::symbolic::{Strategy, SymbolicFaultSim};
 
 /// Builder-style configuration shared by every [`FaultSimEngine`].
@@ -204,10 +204,39 @@ fn bracketed(
     Ok(outcome)
 }
 
-/// The three-valued engine ([`FaultSim3`]): fast, pessimistic, ignores
+/// The three-valued engine ([`FaultSim3`](sim3::FaultSim3)): fast, pessimistic, ignores
 /// every symbolic knob.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sim3Engine;
+
+impl Sim3Engine {
+    /// Like [`run`](FaultSimEngine::run) over the sequence `trajectory` was
+    /// built from, reading the fault-free machine from the borrowed
+    /// `trajectory` instead of simulating it again — so work units of one
+    /// job can share it.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`SimError::Config`] on an invalid knob combination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectory` was built on a circuit of another net count.
+    pub fn run_on(
+        &self,
+        netlist: &Netlist,
+        trajectory: &Trajectory,
+        faults: &[Fault],
+        config: SimConfig<'_>,
+    ) -> Result<SimOutcome, SimError> {
+        config.validate(false)?;
+        let engine = "sim3".to_string();
+        let frames = trajectory.frames();
+        bracketed(config.sink, engine, faults.len(), frames, |sink| {
+            Ok(sim3::run_on(netlist, trajectory, faults, sink))
+        })
+    }
+}
 
 impl FaultSimEngine for Sim3Engine {
     fn run(
@@ -217,15 +246,7 @@ impl FaultSimEngine for Sim3Engine {
         faults: &[Fault],
         config: SimConfig<'_>,
     ) -> Result<SimOutcome, SimError> {
-        config.validate(false)?;
-        let engine = "sim3".to_string();
-        bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
-            let mut sim = FaultSim3::new(netlist, faults.iter().copied());
-            for v in seq {
-                sim.step_traced(v, sink);
-            }
-            Ok(sim.outcome())
-        })
+        self.run_on(netlist, &Trajectory::new(netlist, seq), faults, config)
     }
 }
 
@@ -305,6 +326,7 @@ impl FaultSimEngine for HybridEngine {
 mod tests {
     use super::*;
     use crate::faults::FaultList;
+    use crate::sim3::FaultSim3;
     use motsim_trace::CollectSink;
 
     fn setup() -> (Netlist, Vec<Fault>, TestSequence) {

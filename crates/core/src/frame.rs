@@ -128,6 +128,10 @@ pub(crate) fn next_state<L: Logic>(
 
 /// Scratch memory of the sparse single-fault pass, reused across faults
 /// and frames so a pass allocates nothing.
+///
+/// A faulty machine's present state enters and leaves the pass as its
+/// *differences* from the fault-free state: `(flip-flop index, value)`
+/// pairs, sorted by index.
 #[derive(Debug, Clone)]
 pub(crate) struct Sparse<'a, V> {
     netlist: &'a Netlist,
@@ -135,16 +139,23 @@ pub(crate) struct Sparse<'a, V> {
     fval: Vec<Option<V>>,
     /// The nets with a `Some` entry in `fval`, in the order they diverged.
     diverged: Vec<NetId>,
+    /// The flip-flops whose D pin net `n` drives are
+    /// `d_ffs[d_start[n]..d_start[n + 1]]`, by flip-flop index.
+    d_start: Vec<u32>,
+    d_ffs: Vec<u32>,
     queue: LevelQueue,
     fanin: Vec<V>,
 }
 
 /// Gates waiting for evaluation, bucketed by level; each is queued at
-/// most once per pass.
+/// most once per pass. Only buckets `lo..hi` can be non-empty, so a pass
+/// that touches few levels does not scan the rest.
 #[derive(Debug, Clone)]
 struct LevelQueue {
     queued: Vec<bool>,
     buckets: Vec<Vec<NetId>>,
+    lo: usize,
+    hi: usize,
 }
 
 // `push` and `push_fanout` run once per fanout branch of every diverged
@@ -154,7 +165,10 @@ impl LevelQueue {
     fn push(&mut self, netlist: &Netlist, net: NetId) {
         if netlist.net(net).kind().is_gate() && !self.queued[net.index()] {
             self.queued[net.index()] = true;
-            self.buckets[netlist.level(net) as usize].push(net);
+            let lvl = netlist.level(net) as usize;
+            self.buckets[lvl].push(net);
+            self.lo = self.lo.min(lvl);
+            self.hi = self.hi.max(lvl + 1);
         }
     }
 
@@ -166,12 +180,13 @@ impl LevelQueue {
     }
 
     fn clear(&mut self) {
-        for bucket in &mut self.buckets {
+        for bucket in &mut self.buckets[self.lo.min(self.hi)..self.hi] {
             for &g in bucket.iter() {
                 self.queued[g.index()] = false;
             }
             bucket.clear();
         }
+        (self.lo, self.hi) = (usize::MAX, 0);
     }
 }
 
@@ -186,23 +201,41 @@ pub(crate) struct Faulty<'s, 'a, V: Clone + PartialEq> {
 
 impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
     pub(crate) fn new(netlist: &'a Netlist) -> Self {
+        let mut d_start = vec![0u32; netlist.num_nets() + 1];
+        for &q in netlist.dffs() {
+            d_start[netlist.dff_d(q).index() + 1] += 1;
+        }
+        for n in 1..d_start.len() {
+            d_start[n] += d_start[n - 1];
+        }
+        let mut fill = d_start.clone();
+        let mut d_ffs = vec![0u32; netlist.num_dffs()];
+        for (i, &q) in netlist.dffs().iter().enumerate() {
+            let slot = &mut fill[netlist.dff_d(q).index()];
+            d_ffs[*slot as usize] = i as u32;
+            *slot += 1;
+        }
         Sparse {
             netlist,
             fval: vec![None; netlist.num_nets()],
             diverged: Vec::new(),
+            d_start,
+            d_ffs,
             queue: LevelQueue {
                 queued: vec![false; netlist.num_nets()],
                 buckets: vec![Vec::new(); netlist.depth() as usize + 1],
+                lo: usize::MAX,
+                hi: 0,
             },
             fanin: Vec::with_capacity(8),
         }
     }
 
-    /// Propagates `fault` through one frame, from the flip-flops whose
-    /// faulty present state `state` differs from the fault-free `good_state`
-    /// and from the fault site, visiting in level order only the gates a
-    /// diverged net feeds. `good` is the fault-free frame, `forced` the
-    /// stuck value in the domain and `eval` the gate evaluator.
+    /// Propagates `fault` through one frame, from the flip-flops `diffs`
+    /// names — the faulty present state's differences from the fault-free
+    /// one — and from the fault site, visiting in level order only the
+    /// gates a diverged net feeds. `good` is the fault-free frame, `forced`
+    /// the stuck value in the domain and `eval` the gate evaluator.
     ///
     /// # Errors
     ///
@@ -210,8 +243,7 @@ impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
     pub(crate) fn propagate<'s, E>(
         &'s mut self,
         good: &'s [V],
-        good_state: &[V],
-        state: &[V],
+        diffs: impl IntoIterator<Item = (usize, V)>,
         fault: Fault,
         forced: V,
         eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
@@ -224,7 +256,7 @@ impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
                 value: forced,
             },
         };
-        if let Err(e) = faulty.spread(good_state, state, eval) {
+        if let Err(e) = faulty.spread(diffs, eval) {
             faulty.pass.queue.clear();
             return Err(e);
         }
@@ -246,26 +278,39 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
         self.pass.fval[net.index()].is_some()
     }
 
-    /// How many nets were set by the pass.
-    pub(crate) fn diverged_nets(&self) -> usize {
-        self.pass.diverged.len()
+    /// The nets set by the pass, in the order they diverged.
+    pub(crate) fn diverged_nets(&self) -> &[NetId] {
+        &self.pass.diverged
     }
 
-    /// The faulty next state: each flip-flop stores what its D pin receives.
-    pub(crate) fn next_state(&self) -> impl Iterator<Item = V> + use<'_, 's, 'a, V> {
-        let netlist = self.pass.netlist;
-        netlist.dffs().iter().map(move |&q| {
-            let d = netlist.dff_d(q);
-            self.stuck.pin(Lead::branch(d, q, 0), self.value(d).clone())
-        })
+    /// Writes into `out` the faulty next state's differences from the
+    /// fault-free next state, sorted by flip-flop index. Each flip-flop
+    /// stores what its D pin receives, so only the flip-flops a diverged
+    /// net drives can differ — and, under a D-pin fault, those of the
+    /// fault's net, which the pass does not set for a branch fault.
+    pub(crate) fn next_state_diffs(&self, out: &mut Vec<(usize, V)>) {
+        let pass = &*self.pass;
+        let netlist = pass.netlist;
+        let site = Some(self.stuck.fault.lead.net).filter(|&n| !self.diverged(n));
+        out.clear();
+        for n in pass.diverged.iter().copied().chain(site) {
+            let ffs = pass.d_start[n.index()] as usize..pass.d_start[n.index() + 1] as usize;
+            for &i in &pass.d_ffs[ffs] {
+                let q = netlist.dffs()[i as usize];
+                let v = self.stuck.pin(Lead::branch(n, q, 0), self.value(n).clone());
+                if v != self.good[n.index()] {
+                    out.push((i as usize, v));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|&(i, _)| i);
     }
 
     /// Seeds the pass and runs it level by level; returns with the queue
     /// empty unless the evaluator fails.
     fn spread<E>(
         &mut self,
-        good_state: &[V],
-        state: &[V],
+        diffs: impl IntoIterator<Item = (usize, V)>,
         mut eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
     ) -> Result<(), E> {
         let (good, stuck) = (self.good, &self.stuck);
@@ -275,6 +320,7 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
             diverged,
             queue,
             fanin,
+            ..
         } = &mut *self.pass;
         let netlist: &Netlist = netlist;
         let mut set = |fval: &mut [Option<V>], net: NetId, v: V| {
@@ -283,11 +329,10 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
             }
         };
         // Seed 1: flip-flops whose faulty state differs.
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            if state[i] != good_state[i] {
-                set(fval, q, state[i].clone());
-                queue.push_fanout(netlist, q);
-            }
+        for (i, v) in diffs {
+            let q = netlist.dffs()[i];
+            set(fval, q, v);
+            queue.push_fanout(netlist, q);
         }
         // Seed 2: the fault site. A branch fault re-evaluates its sink gate
         // (one into a D pin only acts on the next state).
@@ -301,7 +346,8 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
             }
             Some((sink, _)) => queue.push(netlist, sink),
         }
-        for lvl in 0..queue.buckets.len() {
+        let mut lvl = queue.lo;
+        while lvl < queue.hi {
             let mut idx = 0;
             while let Some(&g) = queue.buckets[lvl].get(idx) {
                 idx += 1;
@@ -323,7 +369,9 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
                 }
             }
             queue.buckets[lvl].clear();
+            lvl += 1;
         }
+        (queue.lo, queue.hi) = (usize::MAX, 0);
         Ok(())
     }
 }
@@ -351,25 +399,24 @@ mod tests {
     use crate::sim3::{eval_frame_with_fault, next_state_with_fault, TrueSim};
 
     /// For every collapsed fault, the sparse three-valued pass gives every
-    /// net the dense reference's faulty value and the same faulty next
-    /// state, frame by frame.
+    /// net the dense reference's faulty value, and its next-state
+    /// differences, laid over the fault-free next state, give the dense
+    /// reference's faulty next state, frame by frame.
     fn sparse_v3_matches_dense(netlist: &Netlist) {
         let seq = TestSequence::random(netlist, 40, 17);
         let mut sparse = Sparse::new(netlist);
         let mut dense = Vec::new();
         for &fault in FaultList::collapsed(netlist).iter() {
             let mut good = TrueSim::new(netlist);
-            let mut state = vec![V3::X; netlist.num_dffs()];
-            let mut dense_state = state.clone();
+            let mut diffs: Vec<(usize, V3)> = Vec::new();
+            let mut dense_state = vec![V3::X; netlist.num_dffs()];
             for (t, v) in seq.iter().enumerate() {
-                let good_state = good.state().to_vec();
                 good.step(v);
                 eval_frame_with_fault(netlist, &dense_state, v, fault, &mut dense);
                 next_state_with_fault(netlist, &dense, fault, &mut dense_state);
                 let Ok(faulty) = sparse.propagate(
                     good.values(),
-                    &good_state,
-                    &state,
+                    diffs.iter().copied(),
                     fault,
                     V3::from_bool(fault.stuck),
                     |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
@@ -383,7 +430,13 @@ mod tests {
                         netlist.net(id).name()
                     );
                 }
-                state = faulty.next_state().collect();
+                faulty.next_state_diffs(&mut diffs);
+                assert!(diffs.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+                let mut state = good.state().to_vec();
+                for &(i, v) in &diffs {
+                    assert_ne!(state[i], v, "a difference differs");
+                    state[i] = v;
+                }
                 assert_eq!(state, dense_state, "{} frame {t}", fault.display(netlist));
             }
         }
@@ -397,5 +450,10 @@ mod tests {
     #[test]
     fn sparse_v3_matches_dense_on_counter6() {
         sparse_v3_matches_dense(&motsim_circuits::generators::counter(6));
+    }
+
+    #[test]
+    fn sparse_v3_matches_dense_on_g298() {
+        sparse_v3_matches_dense(&motsim_circuits::suite::by_name("g298").unwrap());
     }
 }

@@ -8,6 +8,12 @@
 //! and they differ. As the paper (after \[11\]) notes, this only establishes a
 //! *lower bound* on the true fault coverage — that gap is what the symbolic
 //! engines close.
+//!
+//! [`FaultSim3`] stores each faulty state sparsely, as its differences from
+//! the fault-free state, so its per-frame cost follows the fault effects.
+//! It runs the fault-free machine itself, one [`TrueSim`] step per frame;
+//! a batch job instead simulates it once into a shared [`Trajectory`] of
+//! frames × nets bytes that all its work units read.
 
 use std::convert::Infallible;
 
@@ -132,12 +138,208 @@ pub fn next_state_with_fault(netlist: &Netlist, values: &[V3], fault: Fault, sta
     frame::next_state(netlist, values, &Some(fault), state);
 }
 
+/// The fault-free three-valued machine over a whole sequence: every
+/// frame's net values, read-only once built.
+///
+/// The values sit in one flat buffer of frames × nets bytes (0.54 MB for
+/// g9234, 2.3 MB for g38417 at 200 frames). A batch job builds it once and
+/// every work unit borrows it across threads — it is `Sync` — instead of
+/// re-simulating the fault-free machine per unit (see
+/// [`Sim3Engine::run_on`](crate::engine_api::Sim3Engine::run_on)).
+///
+/// # Example
+///
+/// ```
+/// use motsim::pattern::TestSequence;
+/// use motsim::sim3::{Trajectory, TrueSim};
+///
+/// let circuit = motsim_circuits::s27();
+/// let seq = TestSequence::random(&circuit, 10, 7);
+/// let trajectory = Trajectory::new(&circuit, &seq);
+/// let mut sim = TrueSim::new(&circuit);
+/// for (t, v) in seq.iter().enumerate() {
+///     sim.step(v);
+///     assert_eq!(trajectory.frame(t), sim.values());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Trajectory {
+    nets: usize,
+    frames: usize,
+    values: Vec<V3>,
+}
+
+impl Trajectory {
+    /// Simulates the fault-free machine over `seq` from the all-`X` state
+    /// and keeps every frame's net values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vector of `seq` does not match the circuit's input count.
+    pub fn new(netlist: &Netlist, seq: &TestSequence) -> Self {
+        let mut sim = TrueSim::new(netlist);
+        let mut values = Vec::with_capacity(seq.len() * netlist.num_nets());
+        for v in seq {
+            sim.step(v);
+            values.extend_from_slice(sim.values());
+        }
+        Trajectory {
+            nets: netlist.num_nets(),
+            frames: seq.len(),
+            values,
+        }
+    }
+
+    /// The number of frames held.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// The per-net values of frame `t`, as [`TrueSim::values`] shows them
+    /// after `t + 1` steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not below [`frames`](Self::frames).
+    pub fn frame(&self, t: usize) -> &[V3] {
+        assert!(t < self.frames, "frame {t} out of range");
+        &self.values[t * self.nets..(t + 1) * self.nets]
+    }
+}
+
 #[derive(Debug, Clone)]
 struct FaultRecord {
     fault: Fault,
-    /// Faulty present state (diverges from the fault-free state over time).
-    state: Vec<V3>,
+    /// The faulty present state's differences from the fault-free state:
+    /// `(flip-flop index, value)` pairs, sorted by index.
+    state: Vec<(usize, V3)>,
     detection: Option<Detection>,
+}
+
+/// The per-fault core of [`FaultSim3`]: every fault's sparse state and
+/// verdict, advanced one frame at a time against a given fault-free frame.
+/// [`FaultSim3::step`] feeds it from its own [`TrueSim`], [`run_on`] from a
+/// shared [`Trajectory`].
+#[derive(Debug, Clone)]
+struct Machines<'a> {
+    records: Vec<FaultRecord>,
+    sparse: frame::Sparse<'a, V3>,
+    /// The lowest index of a primary output on each net; `u32::MAX` for a
+    /// net that is no output.
+    first_output: Vec<u32>,
+    frame: usize,
+}
+
+impl<'a> Machines<'a> {
+    fn new(netlist: &'a Netlist, faults: impl IntoIterator<Item = Fault>) -> Self {
+        let mut first_output = vec![u32::MAX; netlist.num_nets()];
+        for (i, &o) in netlist.outputs().iter().enumerate().rev() {
+            first_output[o.index()] = i as u32;
+        }
+        Machines {
+            records: faults
+                .into_iter()
+                .map(|fault| FaultRecord {
+                    fault,
+                    state: Vec::new(),
+                    detection: None,
+                })
+                .collect(),
+            sparse: frame::Sparse::new(netlist),
+            first_output,
+            frame: 0,
+        }
+    }
+
+    /// Advances every live fault by one frame against the fault-free frame
+    /// `good`; returns the faults newly detected.
+    fn step(&mut self, good: &[V3]) -> Vec<(Fault, Detection)> {
+        let mut newly = Vec::new();
+        for rec in self.records.iter_mut().filter(|r| r.detection.is_none()) {
+            let Ok(faulty) = self.sparse.propagate(
+                good,
+                rec.state.iter().copied(),
+                rec.fault,
+                V3::from_bool(rec.fault.stuck),
+                |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
+            );
+            // Three-valued SOT rule at the lowest-indexed output; only a
+            // diverged net can differ from the fault-free frame.
+            let output = faulty
+                .diverged_nets()
+                .iter()
+                .filter_map(|&n| {
+                    let o = self.first_output[n.index()];
+                    let (tv, fv) = (good[n.index()], *faulty.value(n));
+                    (o != u32::MAX && tv.is_known() && fv.is_known() && tv != fv)
+                        .then_some(o as usize)
+                })
+                .min();
+            faulty.next_state_diffs(&mut rec.state);
+            if let Some(output) = output {
+                let det = Detection {
+                    frame: self.frame,
+                    output,
+                };
+                rec.detection = Some(det);
+                newly.push((rec.fault, det));
+            }
+        }
+        self.frame += 1;
+        newly
+    }
+
+    fn outcome(&self) -> SimOutcome {
+        let mut outcome = SimOutcome {
+            results: self
+                .records
+                .iter()
+                .map(|r| FaultOutcome {
+                    fault: r.fault,
+                    detection: r.detection,
+                })
+                .collect(),
+            frames: self.frame,
+            fallback_frames: 0,
+            degraded_terms: 0,
+            bdd: Default::default(),
+        };
+        outcome.sort_by_fault();
+        outcome
+    }
+}
+
+/// Reports frame `frame` to `sink` as one [`TraceEvent::TvFrame`].
+fn trace_frame(sink: &mut dyn TraceSink, frame: usize, detected: usize) {
+    if sink.enabled() {
+        sink.event(&TraceEvent::TvFrame { frame, detected });
+    }
+}
+
+/// Simulates `faults` against every frame of the shared `trajectory`,
+/// reporting each frame to `sink` as [`FaultSim3::step_traced`] does; the
+/// outcome equals [`FaultSim3::run`]'s over the trajectory's sequence.
+///
+/// # Panics
+///
+/// Panics if `trajectory` was built on a circuit of another net count.
+pub(crate) fn run_on(
+    netlist: &Netlist,
+    trajectory: &Trajectory,
+    faults: &[Fault],
+    sink: &mut dyn TraceSink,
+) -> SimOutcome {
+    assert_eq!(
+        trajectory.nets,
+        netlist.num_nets(),
+        "trajectory width mismatch"
+    );
+    let mut machines = Machines::new(netlist, faults.iter().copied());
+    for t in 0..trajectory.frames() {
+        let newly = machines.step(trajectory.frame(t));
+        trace_frame(sink, t, newly.len());
+    }
+    machines.outcome()
 }
 
 /// Event-driven three-valued serial fault simulator.
@@ -146,6 +348,15 @@ struct FaultRecord {
 /// effect is propagated from the fault site and from flip-flops whose
 /// faulty state differs, visiting only the divergent part of the circuit
 /// (single-fault propagation). Detected faults are dropped.
+///
+/// A faulty state is stored sparsely, as the sorted `(flip-flop index,
+/// value)` pairs where it differs from the fault-free state, so a fault
+/// costs work in proportion to its effect: its seeds, its next state and
+/// the SOT rule all walk only the diverged nets. [`with_states`] and
+/// [`faulty_states`] convert to and from full state vectors.
+///
+/// [`with_states`]: Self::with_states
+/// [`faulty_states`]: Self::faulty_states
 ///
 /// # Example
 ///
@@ -162,32 +373,17 @@ struct FaultRecord {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultSim3<'a> {
-    netlist: &'a Netlist,
     truesim: TrueSim<'a>,
-    records: Vec<FaultRecord>,
-    sparse: frame::Sparse<'a, V3>,
-    frame: usize,
+    machines: Machines<'a>,
     trace_offset: usize,
 }
 
 impl<'a> FaultSim3<'a> {
     /// Creates a simulator for the given fault set, in the all-`X` state.
     pub fn new(netlist: &'a Netlist, faults: impl IntoIterator<Item = Fault>) -> Self {
-        let m = netlist.num_dffs();
-        let records = faults
-            .into_iter()
-            .map(|fault| FaultRecord {
-                fault,
-                state: vec![V3::X; m],
-                detection: None,
-            })
-            .collect();
         FaultSim3 {
-            netlist,
             truesim: TrueSim::new(netlist),
-            records,
-            sparse: frame::Sparse::new(netlist),
-            frame: 0,
+            machines: Machines::new(netlist, faults),
             trace_offset: 0,
         }
     }
@@ -221,7 +417,14 @@ impl<'a> FaultSim3<'a> {
                 netlist.num_dffs(),
                 "faulty state width mismatch"
             );
-            sim.records.push(FaultRecord {
+            let state = state
+                .into_iter()
+                .zip(true_state)
+                .enumerate()
+                .filter(|(_, (v, good))| v != *good)
+                .map(|(i, (v, _))| (i, v))
+                .collect();
+            sim.machines.records.push(FaultRecord {
                 fault,
                 state,
                 detection: None,
@@ -233,10 +436,17 @@ impl<'a> FaultSim3<'a> {
     /// The present faulty state of every live fault (for handing back to a
     /// symbolic phase).
     pub fn faulty_states(&self) -> Vec<(Fault, Vec<V3>)> {
-        self.records
+        self.machines
+            .records
             .iter()
             .filter(|r| r.detection.is_none())
-            .map(|r| (r.fault, r.state.clone()))
+            .map(|r| {
+                let mut state = self.truesim.state().to_vec();
+                for &(i, v) in &r.state {
+                    state[i] = v;
+                }
+                (r.fault, state)
+            })
             .collect()
     }
 
@@ -255,7 +465,8 @@ impl<'a> FaultSim3<'a> {
 
     /// Number of faults not yet detected.
     pub fn live_faults(&self) -> usize {
-        self.records
+        self.machines
+            .records
             .iter()
             .filter(|r| r.detection.is_none())
             .count()
@@ -269,22 +480,7 @@ impl<'a> FaultSim3<'a> {
 
     /// Per-fault results collected so far.
     pub fn outcome(&self) -> SimOutcome {
-        let mut outcome = SimOutcome {
-            results: self
-                .records
-                .iter()
-                .map(|r| FaultOutcome {
-                    fault: r.fault,
-                    detection: r.detection,
-                })
-                .collect(),
-            frames: self.frame,
-            fallback_frames: 0,
-            degraded_terms: 0,
-            bdd: Default::default(),
-        };
-        outcome.sort_by_fault();
-        outcome
+        self.machines.outcome()
     }
 
     /// Applies one input vector to the fault-free machine and every live
@@ -297,40 +493,8 @@ impl<'a> FaultSim3<'a> {
     ///
     /// Panics if `inputs` does not match the circuit's input count.
     pub fn step(&mut self, inputs: &[bool]) -> Vec<(Fault, Detection)> {
-        // Keep the pre-frame fault-free state for seeding faulty machines.
-        let prev_state: Vec<V3> = self.truesim.state().to_vec();
         self.truesim.step(inputs);
-        let good = self.truesim.values();
-        let mut newly = Vec::new();
-        for rec in self.records.iter_mut().filter(|r| r.detection.is_none()) {
-            let forced = V3::from_bool(rec.fault.stuck);
-            let Ok(faulty) = self.sparse.propagate(
-                good,
-                &prev_state,
-                &rec.state,
-                rec.fault,
-                forced,
-                |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
-            );
-            // Three-valued SOT rule.
-            let output = self.netlist.outputs().iter().position(|&o| {
-                let (tv, fv) = (good[o.index()], *faulty.value(o));
-                tv.is_known() && fv.is_known() && tv != fv
-            });
-            for (s, v) in rec.state.iter_mut().zip(faulty.next_state()) {
-                *s = v;
-            }
-            if let Some(output) = output {
-                let det = Detection {
-                    frame: self.frame,
-                    output,
-                };
-                rec.detection = Some(det);
-                newly.push((rec.fault, det));
-            }
-        }
-        self.frame += 1;
-        newly
+        self.machines.step(self.truesim.values())
     }
 
     /// Like [`step`](Self::step), additionally reporting the frame to
@@ -343,12 +507,11 @@ impl<'a> FaultSim3<'a> {
         sink: &mut dyn TraceSink,
     ) -> Vec<(Fault, Detection)> {
         let newly = self.step(inputs);
-        if sink.enabled() {
-            sink.event(&TraceEvent::TvFrame {
-                frame: self.trace_offset + self.frame - 1,
-                detected: newly.len(),
-            });
-        }
+        trace_frame(
+            sink,
+            self.trace_offset + self.machines.frame - 1,
+            newly.len(),
+        );
         newly
     }
 }
@@ -467,6 +630,37 @@ mod tests {
             "random vectors should detect something"
         );
         assert!(a.num_detected() < faults.len(), "X-state keeps some hidden");
+    }
+
+    #[test]
+    fn with_states_round_trips_faulty_states() {
+        let n = motsim_circuits::generators::counter(6);
+        let faults: Vec<Fault> = FaultList::collapsed(&n).iter().copied().collect();
+        let true_state = [V3::Zero, V3::One, V3::X, V3::X, V3::One, V3::Zero];
+        let states = [
+            true_state.to_vec(),
+            vec![V3::X; 6],
+            vec![V3::One, V3::One, V3::Zero, V3::X, V3::One, V3::One],
+        ];
+        let faulty: Vec<(Fault, Vec<V3>)> = faults
+            .iter()
+            .zip(states.iter().cycle())
+            .map(|(&f, s)| (f, s.clone()))
+            .collect();
+        let sim = FaultSim3::with_states(&n, &true_state, faulty.clone());
+        assert_eq!(sim.faulty_states(), faulty);
+        assert_eq!(sim.true_state(), true_state);
+    }
+
+    #[test]
+    fn trajectory_run_matches_step_loop() {
+        let n = motsim_circuits::s27();
+        let faults: Vec<Fault> = FaultList::collapsed(&n).iter().copied().collect();
+        let seq = TestSequence::random(&n, 50, 9);
+        let trajectory = Trajectory::new(&n, &seq);
+        assert_eq!(trajectory.frames(), 50);
+        let shared = run_on(&n, &trajectory, &faults, &mut motsim_trace::NullSink);
+        assert_eq!(shared, FaultSim3::run(&n, &seq, faults.iter().copied()));
     }
 
     /// Oracle: serial full re-simulation of the faulty machine through the

@@ -619,26 +619,38 @@ impl<'a> SymbolicFaultSim<'a> {
         // 3. Per-fault propagation and observation into staged updates.
         let mut updates: Vec<FaultUpdate> = Vec::new();
         let mut skipped = 0usize;
+        let mut diffs = Vec::new();
         for (i, rec) in self.records.iter().enumerate() {
             if rec.detection.is_some() {
                 continue;
             }
+            let seeds = rec
+                .state
+                .iter()
+                .zip(&self.true_state)
+                .enumerate()
+                .filter(|(_, (v, good))| v != good)
+                .map(|(ff, (v, _))| (ff, v.clone()));
             let faulty = self.sparse.propagate(
                 &values,
-                &self.true_state,
-                &rec.state,
+                seeds,
                 rec.fault,
                 self.mgr.constant(rec.fault.stuck),
                 |kind, pins| eval_gate_bdd(&self.mgr, kind, pins),
             )?;
             let (det, detection) =
                 frame.observe(self.strategy, &faulty, &rec.det, self.frame, &mut skipped);
+            faulty.next_state_diffs(&mut diffs);
+            let mut state = next_state.clone();
+            for (ff, v) in diffs.drain(..) {
+                state[ff] = v;
+            }
             updates.push(FaultUpdate {
                 index: i,
                 det,
-                state: faulty.next_state().collect(),
+                state,
                 detection,
-                events: faulty.diverged_nets(),
+                events: faulty.diverged_nets().len(),
             });
         }
 

@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use motsim::engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};
 use motsim::hybrid::HybridConfig;
+use motsim::sim3::Trajectory;
 use motsim::symbolic::Strategy;
 use motsim::{Fault, SimError, SimOutcome, TestSequence};
 use motsim_netlist::Netlist;
@@ -173,7 +174,9 @@ pub fn run(job: &Job) -> Result<JobResult, EngineError> {
 ///
 /// The fault list is partitioned into work units (count independent of
 /// `job.jobs`), the units are executed by `job.jobs` workers pulling from a
-/// shared queue — each unit in a fresh BDD manager — and the per-unit
+/// shared queue — each unit in a fresh BDD manager; the units of an
+/// [`EngineKind::Sim3`] job read one fault-free trajectory, simulated once
+/// before the workers start — and the per-unit
 /// outcomes are merged in unit-id order into one [`SimOutcome`] sorted by
 /// fault. The merged result is byte-identical for every worker count.
 ///
@@ -205,6 +208,13 @@ pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, Engi
         unit_faults[unit.id] = unit.faults.len();
     }
 
+    // Three-valued units share one read-only fault-free trajectory.
+    let trajectory = match job.engine {
+        EngineKind::Sim3 if n_units > 0 => Some(Trajectory::new(job.netlist, job.seq)),
+        _ => None,
+    };
+    let trajectory = trajectory.as_ref();
+
     let queue: Mutex<VecDeque<WorkUnit>> = Mutex::new(plan.into());
     type Part = (usize, Result<SimOutcome, SimError>, Vec<TraceEvent>);
     let (tx, rx) = mpsc::channel::<Part>();
@@ -220,7 +230,7 @@ pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, Engi
                 let mut collect = CollectSink::new();
                 let mut null = NullSink;
                 let unit_sink: &mut dyn TraceSink = if tracing { &mut collect } else { &mut null };
-                let result = run_unit(job, &unit.faults, unit_sink);
+                let result = run_unit(job, trajectory, &unit.faults, unit_sink);
                 if tx.send((unit.id, result, collect.into_events())).is_err() {
                     break;
                 }
@@ -281,12 +291,21 @@ pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, Engi
 /// Simulates one shard through the unified [`engine_api`](motsim::engine_api),
 /// in a fresh engine instance (fresh BDD manager for the symbolic engines —
 /// the fault-independent MOT factors `E_j(x, y)` are recomputed per shard,
-/// which is the price of manager isolation).
-fn run_unit(job: &Job, faults: &[Fault], sink: &mut dyn TraceSink) -> Result<SimOutcome, SimError> {
+/// which is the price of manager isolation). A three-valued shard reads
+/// the job's shared fault-free `trajectory`.
+fn run_unit(
+    job: &Job,
+    trajectory: Option<&Trajectory>,
+    faults: &[Fault],
+    sink: &mut dyn TraceSink,
+) -> Result<SimOutcome, SimError> {
     match job.engine {
-        EngineKind::Sim3 => {
-            Sim3Engine.run(job.netlist, job.seq, faults, SimConfig::new().sink(sink))
-        }
+        EngineKind::Sim3 => Sim3Engine.run_on(
+            job.netlist,
+            trajectory.expect("built for three-valued jobs"),
+            faults,
+            SimConfig::new().sink(sink),
+        ),
         EngineKind::Symbolic(strategy) => SymbolicEngine.run(
             job.netlist,
             job.seq,
@@ -335,6 +354,32 @@ mod tests {
         let direct = FaultSim3::run(&n, &seq, faults.iter().copied());
         let r = run(&Job::new(&n, &seq, &faults, EngineKind::Sim3).jobs(3)).unwrap();
         assert_eq!(r.outcome.results, direct.results);
+    }
+
+    /// Units share one read-only fault-free trajectory and never disturb
+    /// each other: every unit and worker count gives the direct run's
+    /// verdicts, detection frame and output included.
+    #[test]
+    fn sim3_results_are_invariant_under_units_and_jobs() {
+        for name in ["g526", "g1423"] {
+            let n = motsim_circuits::suite::by_name(name).unwrap();
+            let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
+            let seq = TestSequence::random(&n, 100, 5);
+            let direct = FaultSim3::run(&n, &seq, faults.iter().copied());
+            assert!(direct.num_detected() > 0, "{name}");
+            for units in [1, 5, 64] {
+                for jobs in [1, 3] {
+                    let job = Job::new(&n, &seq, &faults, EngineKind::Sim3)
+                        .units(units)
+                        .jobs(jobs);
+                    let r = run(&job).unwrap();
+                    assert_eq!(
+                        r.outcome.results, direct.results,
+                        "{name}: {units} unit(s), {jobs} job(s)"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

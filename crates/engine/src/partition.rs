@@ -8,10 +8,7 @@
 //! merged outcome is byte-identical regardless of thread count (see
 //! DESIGN.md §8).
 
-use std::collections::HashMap;
-
 use motsim::Fault;
-use motsim_netlist::analysis::fanout_cone;
 use motsim_netlist::{NetId, Netlist};
 
 /// How faults are assigned to work units.
@@ -47,7 +44,12 @@ pub struct WorkUnit {
 pub struct FaultPartitioner<'a> {
     netlist: &'a Netlist,
     policy: PartitionPolicy,
-    cone_size: HashMap<NetId, u64>,
+    /// Fanout-cone size per net; 0 until counted (a cone holds its root).
+    cone_size: Vec<u64>,
+    /// Nets visited by the current count carry its `epoch`.
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NetId>,
 }
 
 impl<'a> FaultPartitioner<'a> {
@@ -56,7 +58,10 @@ impl<'a> FaultPartitioner<'a> {
         FaultPartitioner {
             netlist,
             policy,
-            cone_size: HashMap::new(),
+            cone_size: vec![0; netlist.num_nets()],
+            seen: vec![0; netlist.num_nets()],
+            epoch: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -74,11 +79,33 @@ impl<'a> FaultPartitioner<'a> {
             Some((sink, _)) => sink,
             None => fault.lead.net,
         };
-        let netlist = self.netlist;
-        *self
-            .cone_size
-            .entry(site)
-            .or_insert_with(|| fanout_cone(netlist, site).len() as u64)
+        if self.cone_size[site.index()] == 0 {
+            self.cone_size[site.index()] = self.count_cone(site);
+        }
+        self.cone_size[site.index()]
+    }
+
+    /// Counts the nets of
+    /// [`fanout_cone`](motsim_netlist::analysis::fanout_cone)`(netlist, net)` without
+    /// collecting them. Each net is counted at most once per partitioner,
+    /// so the epoch cannot wrap.
+    fn count_cone(&mut self, net: NetId) -> u64 {
+        self.epoch += 1;
+        let mut count = 0;
+        self.stack.push(net);
+        while let Some(id) = self.stack.pop() {
+            if self.seen[id.index()] == self.epoch {
+                continue;
+            }
+            self.seen[id.index()] = self.epoch;
+            count += 1;
+            for &(sink, _) in self.netlist.fanout(id) {
+                if self.netlist.net(sink).kind().is_gate() {
+                    self.stack.push(sink);
+                }
+            }
+        }
+        count
     }
 
     /// Partitions `faults` into at most `units` work units.
@@ -208,6 +235,87 @@ mod tests {
         let plan = FaultPartitioner::new(&n, PartitionPolicy::CostBalanced).partition(&faults, 7);
         for (i, unit) in plan.iter().enumerate() {
             assert_eq!(unit.id, i);
+        }
+    }
+
+    #[test]
+    fn fault_cost_is_the_fanout_cone_size() {
+        use motsim_netlist::analysis::fanout_cone;
+        use motsim_netlist::Lead;
+        for name in ["g298", "g5378"] {
+            let n = motsim_circuits::suite::by_name(name).unwrap();
+            let mut p = FaultPartitioner::new(&n, PartitionPolicy::CostBalanced);
+            for net in n.net_ids() {
+                let cost = p.fault_cost(Fault::stuck_at_0(Lead::stem(net)));
+                assert_eq!(cost, fanout_cone(&n, net).len() as u64, "{name}");
+            }
+        }
+    }
+
+    /// The plans of counter(10), as `(cost, faults)` per unit plus an
+    /// FNV-1a hash of every `(unit id, fault index)` assignment, pinned
+    /// when the cone sizes were still collected by `fanout_cone`.
+    #[test]
+    fn plans_are_pinned_on_counter10() {
+        let n = motsim_circuits::generators::counter(10);
+        let faults = faults_of(&n);
+        type Plan = (PartitionPolicy, usize, &'static [(u64, usize)], u64);
+        let pinned: [Plan; 4] = [
+            (
+                PartitionPolicy::RoundRobin,
+                4,
+                &[(373, 40), (319, 40), (284, 39), (283, 39)],
+                0x09d6fbf58373b599,
+            ),
+            (
+                PartitionPolicy::RoundRobin,
+                7,
+                &[
+                    (149, 23),
+                    (285, 23),
+                    (266, 23),
+                    (81, 23),
+                    (88, 22),
+                    (212, 22),
+                    (178, 22),
+                ],
+                0xaf63a467671b0567,
+            ),
+            (
+                PartitionPolicy::CostBalanced,
+                4,
+                &[(315, 39), (315, 40), (315, 40), (314, 39)],
+                0x160eb6b93471b890,
+            ),
+            (
+                PartitionPolicy::CostBalanced,
+                7,
+                &[
+                    (180, 23),
+                    (180, 23),
+                    (180, 22),
+                    (180, 22),
+                    (180, 23),
+                    (180, 23),
+                    (179, 22),
+                ],
+                0xaf992cd2a03868b7,
+            ),
+        ];
+        for (policy, units, shape, hash) in pinned {
+            let plan = FaultPartitioner::new(&n, policy).partition(&faults, units);
+            let got: Vec<(u64, usize)> = plan.iter().map(|u| (u.cost, u.faults.len())).collect();
+            assert_eq!(got, shape, "{policy:?} {units}");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for u in &plan {
+                for f in &u.faults {
+                    let i = faults.binary_search(f).unwrap() as u64;
+                    for b in (u.id as u64 * 1_000_000 + i).to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+            assert_eq!(h, hash, "{policy:?} {units}");
         }
     }
 
