@@ -102,6 +102,20 @@ fuzz_smoke >"$TRACE_DIR/fuzz2.txt"
 cmp "$TRACE_DIR/fuzz1.txt" "$TRACE_DIR/fuzz2.txt"
 grep -q "0 counterexample(s)" "$TRACE_DIR/fuzz1.txt"
 
+echo "==> smoke: paper tables (table1 --jobs 1 vs 2, figs verdicts)"
+# Table I's counts must not depend on --jobs; its last three columns are
+# times and are stripped. The Fig. 1-3 walkthroughs grade nine
+# (figure, strategy) pairs, four of which detect the fault.
+table1_smoke() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    tables table1 --quick --len 20 --jobs "$1" |
+    sed -E 's/( +[^ ]+){3}$//'
+}
+diff <(table1_smoke 1) <(table1_smoke 2)
+cargo run --release -q -p motsim-cli --bin motsim -- tables figs >"$TRACE_DIR/figs.txt"
+test "$(grep -c ': DETECTED' "$TRACE_DIR/figs.txt")" -eq 4
+test "$(grep -c ': not detected' "$TRACE_DIR/figs.txt")" -eq 5
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

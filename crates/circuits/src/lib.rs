@@ -10,6 +10,7 @@
 //!   (the s208.1/s420.1/s838.1 family on which the paper's MOT headline
 //!   results live), random control FSMs, shift registers, LFSRs, Gray
 //!   counters, serial accumulators and random sequential logic,
+//! - the [`figures`] of the paper (Figs. 1–3) with their pinned vectors,
 //! - the [`suite`] module instantiating named `g*` benchmarks at sizes
 //!   matched to the paper's table rows (`g208` ↔ s208.1, `g298` ↔ s298, …).
 //!
@@ -24,6 +25,7 @@
 //! assert_eq!(g208.num_dffs(), 8);
 //! ```
 
+pub mod figures;
 pub mod generators;
 pub mod suite;
 

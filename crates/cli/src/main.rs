@@ -16,10 +16,12 @@
 //! motsim list
 //! motsim trace-check <file.jsonl>
 //! motsim fuzz [--seed S] [--cases N] [--max-dffs M]
+//! motsim tables <table1|table2|table3|table4|figs|limits|all> [--len N] [--seed S] [--jobs N] [--quick]
 //! ```
 //!
 //! `<circuit>` is either a built-in suite name (`g208`, `g298`, … — see
-//! `motsim list`) or a path to an ISCAS-89 `.bench` file.
+//! `motsim list`) or a path to an ISCAS-89 `.bench` file. Every number may
+//! be given in decimal or as `0x` hexadecimal.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -44,7 +46,7 @@ use motsim_trace::{JsonlSink, TraceEvent, TraceSink};
 // list | head -3`); these shadow them for the whole binary.
 macro_rules! print {
     ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*))
+        $crate::write_stdout(format_args!($($arg)*))
     };
 }
 
@@ -53,7 +55,7 @@ macro_rules! println {
         print!("\n")
     };
     ($($arg:tt)*) => {
-        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 
@@ -68,6 +70,8 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
         }
     }
 }
+
+mod tables;
 
 const USAGE: &str = "\
 usage: motsim <command> <circuit> [options]
@@ -94,10 +98,16 @@ commands:
               32), --max-dffs M (flip-flop cap 1..=16, default 5).
               Output is deterministic in the options; exits 1 if any
               law is violated
+  tables      regenerate the paper's results; takes no <circuit> but one of
+              table1 table2 table3 table4 (Tables I-IV), figs (Figs. 1-3),
+              limits (node-limit sweep) or all; options --len, --seed,
+              --jobs and --quick (fewer circuits; 50 vectors unless --len
+              is given)
 
 <circuit> is a suite name (try `motsim list`) or a .bench file path.
 
-options: --len N  --seed S  --limit NODES  --max-len N  --complete
+options (numbers in decimal or 0x hexadecimal):
+         --len N  --seed S  --limit NODES  --max-len N  --complete
          --static  --inject K  --output J  --no-xred  --all-nets  --compact
          --jobs N  (worker threads for sim3/strategies/xred; the result is
                     identical for every N — see DESIGN.md §8)
@@ -139,6 +149,9 @@ struct Opts {
     reorder: motsim::hybrid::ReorderPolicy,
     trace: Option<String>,
     trace_summary: bool,
+    quick: bool,
+    cases: usize,
+    max_dffs: usize,
 }
 
 impl Default for Opts {
@@ -161,6 +174,9 @@ impl Default for Opts {
             reorder: motsim::hybrid::ReorderPolicy::None,
             trace: None,
             trace_summary: false,
+            quick: false,
+            cases: 32,
+            max_dffs: 5,
         }
     }
 }
@@ -170,18 +186,30 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
+/// Parses a decimal or `0x`-prefixed hexadecimal number.
+fn parse_num(s: &str) -> Option<usize> {
+    match s.strip_prefix("0x") {
+        Some(hex) => usize::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::default();
+    let mut len_given = false;
     let mut i = 0;
     let num = |args: &[String], i: &mut usize, what: &str| -> usize {
         *i += 1;
         args.get(*i)
-            .and_then(|s| s.parse().ok())
+            .and_then(|s| parse_num(s))
             .unwrap_or_else(|| die(&format!("{what} needs a number")))
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--len" => o.len = num(args, &mut i, "--len"),
+            "--len" => {
+                o.len = num(args, &mut i, "--len");
+                len_given = true;
+            }
             "--seed" => o.seed = num(args, &mut i, "--seed") as u64,
             "--limit" => o.limit = num(args, &mut i, "--limit"),
             "--max-len" => o.max_len = num(args, &mut i, "--max-len"),
@@ -189,6 +217,9 @@ fn parse_opts(args: &[String]) -> Opts {
             "--jobs" => o.jobs = num(args, &mut i, "--jobs").max(1),
             "--units" => o.units = num(args, &mut i, "--units"),
             "--output" => o.output = num(args, &mut i, "--output"),
+            "--cases" => o.cases = num(args, &mut i, "--cases"),
+            "--max-dffs" => o.max_dffs = num(args, &mut i, "--max-dffs"),
+            "--quick" => o.quick = true,
             "--complete" => o.complete = true,
             "--static" => o.static_mode = true,
             "--no-xred" => o.no_xred = true,
@@ -215,6 +246,9 @@ fn parse_opts(args: &[String]) -> Opts {
             other => die(&format!("unknown option `{other}`")),
         }
         i += 1;
+    }
+    if o.quick && !len_given {
+        o.len = 50;
     }
     o
 }
@@ -394,7 +428,14 @@ fn main() {
         return;
     }
     if cmd == "fuzz" {
-        cmd_fuzz(&args[1..]);
+        cmd_fuzz(&parse_opts(&args[1..]));
+        return;
+    }
+    if cmd == "tables" {
+        let Some(which) = args.get(1) else {
+            die("tables needs one of table1 table2 table3 table4 figs limits all")
+        };
+        tables::run(which, &parse_opts(&args[2..]));
         return;
     }
     let Some(circuit) = args.get(1) else {
@@ -478,40 +519,8 @@ fn cmd_trace_check(path: &str) {
 /// `motsim-check`, each over `--cases` random cases; counterexamples are
 /// shrunk and dumped as self-contained reproducers. The output carries no
 /// timing, so two runs with identical options are byte-identical.
-fn cmd_fuzz(args: &[String]) {
-    let mut seed: u64 = 0xDAC95;
-    let mut cases: usize = 32;
-    let mut max_dffs: usize = 5;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> &str {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                let v = value("a seed");
-                seed = v
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .unwrap_or_else(|| v.parse())
-                    .unwrap_or_else(|_| die(&format!("invalid seed `{v}`")));
-            }
-            "--cases" => {
-                let v = value("a count");
-                cases = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid case count `{v}`")));
-            }
-            "--max-dffs" => {
-                let v = value("a flip-flop cap");
-                max_dffs = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid flip-flop cap `{v}`")));
-            }
-            other => die(&format!("unknown fuzz option `{other}`")),
-        }
-    }
+fn cmd_fuzz(opts: &Opts) {
+    let (seed, cases, max_dffs) = (opts.seed, opts.cases, opts.max_dffs);
     if cases == 0 {
         die("--cases must be at least 1");
     }
@@ -983,4 +992,31 @@ fn cmd_scoap(netlist: &Netlist) {
         untestable,
         faults.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Opts {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_opts(&args)
+    }
+
+    #[test]
+    fn quick_shortens_only_a_len_not_given() {
+        assert_eq!(parse(&["--quick"]).len, 50);
+        assert_eq!(parse(&["--quick", "--len", "200"]).len, 200);
+        assert_eq!(parse(&["--len", "200", "--quick"]).len, 200);
+        assert_eq!(parse(&[]).len, 200);
+    }
+
+    #[test]
+    fn numbers_parse_in_decimal_and_hex() {
+        assert_eq!(parse_num("0xDAC95"), Some(896_149));
+        assert_eq!(parse_num("896149"), Some(896_149));
+        assert_eq!(parse_num("0xZZ"), None);
+        let o = parse(&["--seed", "0xDAC95", "--len", "0x10", "--max-dffs", "0x3"]);
+        assert_eq!((o.seed, o.len, o.max_dffs), (0xDAC95, 16, 3));
+    }
 }

@@ -197,14 +197,14 @@ fn fuzz_rejects_bad_options() {
     assert!(err.contains("--max-dffs"));
 }
 
-#[test]
-fn closed_stdout_ends_quietly() {
-    // `motsim list | head -1`: the reader leaves after one line while the
-    // command is still building circuits and printing.
+/// Runs `motsim args`, reads the first stdout line and then closes stdout,
+/// as `motsim args | head -1` does; the command must still end quietly and
+/// successfully. Returns the first line.
+fn first_line_then_close(args: &[&str]) -> String {
     use std::io::{BufRead, BufReader, Read};
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_motsim"))
-        .arg("list")
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -213,7 +213,6 @@ fn closed_stdout_ends_quietly() {
     BufReader::new(child.stdout.take().expect("piped stdout"))
         .read_line(&mut first)
         .expect("one line");
-    assert!(first.contains("suite"), "{first}");
     let mut stderr = String::new();
     child
         .stderr
@@ -224,4 +223,45 @@ fn closed_stdout_ends_quietly() {
     let status = child.wait().expect("child exits");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(status.success(), "{status}: {stderr}");
+    first
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `motsim list | head -1`: the reader leaves after one line while the
+    // command is still building circuits and printing.
+    let first = first_line_then_close(&["list"]);
+    assert!(first.contains("suite"), "{first}");
+}
+
+#[test]
+fn tables_end_quietly_on_a_closed_stdout() {
+    // `motsim tables figs | head -1`: the first line is the blank line
+    // before the Fig. 1 heading.
+    assert_eq!(first_line_then_close(&["tables", "figs"]), "\n");
+}
+
+#[test]
+fn seeds_accept_hex() {
+    // 0xDAC95 = 896149 is also the default seed.
+    let sim3 = |extra: &[&str]| {
+        let mut args = vec!["sim3", "g27", "--len", "40"];
+        args.extend_from_slice(extra);
+        let out = motsim(&args);
+        assert!(out.status.success(), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        // Drop the elapsed time: "... detected in 1.2ms".
+        text.lines()
+            .map(|l| l.split(" in ").next().unwrap().to_owned())
+            .collect::<Vec<_>>()
+    };
+    let hex = sim3(&["--seed", "0xDAC95"]);
+    assert_eq!(hex, sim3(&["--seed", "896149"]));
+    assert_eq!(hex, sim3(&[]));
+
+    let out = motsim(&["sim3", "g27", "--seed", "0xZZ"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seed needs a number"), "{err}");
+    assert!(err.contains("usage"), "{err}");
 }

@@ -290,38 +290,24 @@ pub fn verdict_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use motsim_netlist::builder::NetlistBuilder;
-    use motsim_netlist::{GateKind, Lead};
+    use motsim_netlist::Lead;
 
-    /// The paper's Fig. 3 circuit: one flip-flop `x`; `O1 = XNOR(I, Q)`;
-    /// `Q' = AND(I, Q)`-free — reconstruct the exact example:
-    /// output o(x,1)=x for input z(1), o(x,2)=x; fault f at the input makes
-    /// o^f(y,1)=ȳ, o^f(y,2)=y. We model it as: PO = XNOR(A, Q), Q' = Q,
-    /// with the fault A/0 and the sequence (\[1\],\[0\]):
-    ///  - fault-free: o(1)=XNOR(1,x)=x, o(2)=XNOR(0,x)=x̄ … close enough in
-    ///    structure; the point is to exercise the disjoint-set logic.
-    fn fig3_like() -> (Netlist, Fault) {
-        let mut b = NetlistBuilder::new("fig3");
-        let a = b.add_input("A").unwrap();
-        let q = b.add_dff("Q").unwrap();
-        let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-        b.connect_dff(q, keep).unwrap();
-        let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-        b.add_output(o);
-        let n = b.finish().unwrap();
-        let a = n.find("A").unwrap();
-        (n, Fault::stuck_at_0(Lead::stem(a)))
+    /// The paper's Fig. 3 circuit (`O = XNOR(A, Q)`, `Q' = Q`), its fault
+    /// `A` stuck-at-0 and its sequence `(1, 0)`.
+    fn fig3() -> (Netlist, Fault, TestSequence) {
+        let (n, vectors) = motsim_circuits::figures::fig3();
+        let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
+        (n, fault, TestSequence::new(1, vectors))
     }
 
     #[test]
     fn mot_detects_where_sot_cannot() {
         // Sequence [1], [0]: fault-free responses are (x, x̄); faulty
-        // (stuck 0) responses are (ȳ, ȳ)... wait: o = XNOR(0, q) = q̄ both
-        // frames -> faulty rows {(ȳ, ȳ)} = {(0,0),(1,1)}; good rows
-        // {(x, x̄)} = {(0,1),(1,0)}: disjoint -> MOT detects. No constant
-        // fault-free point -> SOT and rMOT cannot.
-        let (n, f) = fig3_like();
-        let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
+        // (stuck 0) ones are o = XNOR(0, q) = q̄ in both frames -> faulty
+        // rows {(ȳ, ȳ)} = {(0,0),(1,1)}; good rows {(x, x̄)} = {(0,1),(1,0)}:
+        // disjoint -> MOT detects. No constant fault-free point -> SOT and
+        // rMOT cannot.
+        let (n, f, seq) = fig3();
         let v = verdict(&n, &seq, f);
         assert!(v.mot);
         assert!(!v.sot);
@@ -330,7 +316,7 @@ mod tests {
 
     #[test]
     fn single_frame_is_not_enough_for_fig3() {
-        let (n, f) = fig3_like();
+        let (n, f, _) = fig3();
         let seq = TestSequence::new(1, vec![vec![true]]);
         let v = verdict(&n, &seq, f);
         // good rows {x} = {0,1}; bad rows {ȳ} = {0,1}: intersect.

@@ -18,7 +18,7 @@
 //!   the flip-flop sharing the most combinational support with those
 //!   already placed.
 //!
-//! The orders are measured head-to-head in `benches/bench_ordering.rs`;
+//! The orders were measured head-to-head (EXPERIMENTS.md "Ablations");
 //! on the counter family the DFS order tracks the carry chain and keeps
 //! next-state BDDs linear.
 

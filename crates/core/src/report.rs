@@ -1,4 +1,4 @@
-//! Shared result types for fault-simulation runs and table formatting.
+//! Shared result types for fault-simulation runs.
 
 use std::fmt;
 
@@ -259,17 +259,6 @@ impl fmt::Display for SimOutcome {
     }
 }
 
-/// Right-aligns `s` into a cell of width `w` (simple fixed-width table
-/// helper for the experiment binaries).
-pub fn cell(s: impl fmt::Display, w: usize) -> String {
-    format!("{:>w$}", s.to_string(), w = w)
-}
-
-/// Formats seconds with the paper's precision (two decimals).
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,12 +344,6 @@ mod tests {
         let o = SimOutcome::default();
         assert_eq!(o.coverage_percent(), 0.0);
         assert_eq!(o.num_detected(), 0);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(cell(42, 5), "   42");
-        assert_eq!(secs(std::time::Duration::from_millis(1234)), "1.23");
     }
 
     #[test]

@@ -861,7 +861,6 @@ mod tests {
     use super::*;
     use crate::exhaustive::{verdict_from, ResponseMatrix};
     use crate::faults::FaultList;
-    use motsim_netlist::builder::NetlistBuilder;
     use motsim_netlist::Lead;
 
     /// Cross-engine oracle: the symbolic verdicts must match exhaustive
@@ -950,7 +949,7 @@ mod tests {
     }
 
     /// The paper's Fig. 3 example, verbatim: one flip-flop; the fault-free
-    /// output sequence is (x, x); the faulty one is (ȳ, y);
+    /// output sequence is (x, x̄); the faulty one is (ȳ, ȳ);
     /// D(x,y) = [x≡ȳ]·[x≡y] ≡ 0, so MOT detects — SOT and rMOT cannot.
     #[test]
     fn fig3_detection_function() {
@@ -958,17 +957,9 @@ mod tests {
         //   fault-free: o(1) = XNOR(1, x) = x; o(2) = XNOR(0, x) = x̄.
         //   A stuck-at-0: o^f = XNOR(0, y) = ȳ both frames.
         // D = [x ≡ ȳ]·[x̄ ≡ ȳ] = [x ≡ ȳ]·[x ≡ y] ≡ 0 — the paper's algebra.
-        let mut b = NetlistBuilder::new("fig3");
-        let a = b.add_input("A").unwrap();
-        let q = b.add_dff("Q").unwrap();
-        let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-        b.connect_dff(q, keep).unwrap();
-        let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-        b.add_output(o);
-        let n = b.finish().unwrap();
-        let a = n.find("A").unwrap();
-        let fault = Fault::stuck_at_0(Lead::stem(a));
-        let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
+        let (n, vectors) = motsim_circuits::figures::fig3();
+        let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
+        let seq = TestSequence::new(1, vectors);
 
         for (strategy, expect) in [
             (Strategy::Sot, false),
@@ -995,16 +986,8 @@ mod tests {
         // With sequence (1, 0) it IS detected (fig3 test above). This pins
         // down that detection hinges on cross-frame pruning, not on lucky
         // per-frame differences.
-        let mut b = NetlistBuilder::new("t");
-        let a = b.add_input("A").unwrap();
-        let q = b.add_dff("Q").unwrap();
-        let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-        b.connect_dff(q, keep).unwrap();
-        let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-        b.add_output(o);
-        let n = b.finish().unwrap();
-        let a = n.find("A").unwrap();
-        let fault = Fault::stuck_at_0(Lead::stem(a));
+        let (n, _) = motsim_circuits::figures::fig3();
+        let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
 
         let same = TestSequence::new(1, vec![vec![true], vec![true]]);
         let outcome = SymbolicFaultSim::new(&n, Strategy::Mot)

@@ -5,8 +5,8 @@
 use motsim::exhaustive;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::{Fault, FaultList, TestSequence};
-use motsim_netlist::builder::NetlistBuilder;
-use motsim_netlist::{GateKind, Lead, Netlist};
+use motsim_circuits::figures;
+use motsim_netlist::{Lead, Netlist};
 
 fn run(netlist: &Netlist, strategy: Strategy, fault: Fault, seq: &TestSequence) -> bool {
     SymbolicFaultSim::new(netlist, strategy)
@@ -16,47 +16,9 @@ fn run(netlist: &Netlist, strategy: Strategy, fault: Fault, seq: &TestSequence) 
         == 1
 }
 
-/// Fig. 1 circuit and its pinned two-frame sequence: an uninitialized
-/// hold flip-flop XOR-mixed into the output.
-fn fig1() -> (Netlist, TestSequence) {
-    let mut b = NetlistBuilder::new("fig1");
-    let a = b.add_input("A").unwrap();
-    let c = b.add_input("B").unwrap();
-    let q = b.add_dff("Q").unwrap();
-    let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-    b.connect_dff(q, keep).unwrap();
-    let x = b.add_gate("XR", GateKind::Xor, vec![a, q]).unwrap();
-    let o = b.add_gate("O", GateKind::Xor, vec![x, c]).unwrap();
-    b.add_output(o);
-    let n = b.finish().unwrap();
-    let seq = TestSequence::new(2, vec![vec![true, false], vec![false, false]]);
-    (n, seq)
-}
-
-/// Fig. 2 circuit and sequence: the 3-bit counter with the
-/// clear-count-clear-count pattern (clear, count 4, clear, count 8).
-fn fig2() -> (Netlist, TestSequence) {
-    let n = motsim_circuits::generators::counter(3);
-    let mut vectors = vec![vec![false, true]];
-    vectors.extend(std::iter::repeat_n(vec![true, false], 4));
-    vectors.push(vec![false, true]);
-    vectors.extend(std::iter::repeat_n(vec![true, false], 8));
-    let seq = TestSequence::new(2, vectors);
-    (n, seq)
-}
-
-/// Fig. 3 circuit and its pinned sequence: the worked example with
-/// fault-free outputs (x, x̄) and faulty outputs (ȳ, ȳ).
-fn fig3() -> (Netlist, TestSequence) {
-    let mut b = NetlistBuilder::new("fig3");
-    let a = b.add_input("A").unwrap();
-    let q = b.add_dff("Q").unwrap();
-    let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-    b.connect_dff(q, keep).unwrap();
-    let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-    b.add_output(o);
-    let n = b.finish().unwrap();
-    let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
+/// A paper figure as a netlist and its pinned sequence.
+fn figure((n, vectors): figures::Figure) -> (Netlist, TestSequence) {
+    let seq = TestSequence::new(n.num_inputs(), vectors);
     (n, seq)
 }
 
@@ -64,7 +26,7 @@ fn fig3() -> (Netlist, TestSequence) {
 /// but the response sets are disjoint.
 #[test]
 fn fig1_sot_fails_mot_succeeds() {
-    let (n, seq) = fig1();
+    let (n, seq) = figure(figures::fig1());
     let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
 
     assert!(!run(&n, Strategy::Sot, fault, &seq));
@@ -80,7 +42,7 @@ fn fig1_sot_fails_mot_succeeds() {
 /// faulty one — undetectable per Definition 2 despite initialization.
 #[test]
 fn fig2_initialization_is_not_enough_for_sot() {
-    let (n, seq) = fig2();
+    let (n, seq) = figure(figures::fig2());
     let fault = Fault::stuck_at_1(Lead::stem(n.find("NCLR").unwrap()));
 
     // The fault-free machine is fully synchronized after the first clear…
@@ -104,7 +66,7 @@ fn fig2_initialization_is_not_enough_for_sot() {
 /// detection function D(x,y) = [x ≡ ȳ]·[x ≡ y] ≡ 0.
 #[test]
 fn fig3_detection_function_collapses() {
-    let (n, seq) = fig3();
+    let (n, seq) = figure(figures::fig3());
     let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
 
     assert!(!run(&n, Strategy::Sot, fault, &seq));
@@ -149,12 +111,12 @@ fn detected_per_strategy(n: &Netlist, seq: &TestSequence) -> [Vec<bool>; 3] {
 #[test]
 fn pinned_strategy_counts_on_paper_figures() {
     // (name, circuit+sequence, pinned [SOT, rMOT, MOT] detected counts).
-    let figures: [(&str, (Netlist, TestSequence), [usize; 3]); 3] = [
-        ("fig1", fig1(), [0, 0, 6]),
-        ("fig2", fig2(), [33, 35, 35]),
-        ("fig3", fig3(), [0, 0, 4]),
+    let cases: [(&str, (Netlist, TestSequence), [usize; 3]); 3] = [
+        ("fig1", figure(figures::fig1()), [0, 0, 6]),
+        ("fig2", figure(figures::fig2()), [33, 35, 35]),
+        ("fig3", figure(figures::fig3()), [0, 0, 4]),
     ];
-    for (name, (n, seq), pinned) in figures {
+    for (name, (n, seq), pinned) in cases {
         let faults = FaultList::collapsed(&n);
         let [sot, rmot, mot] = detected_per_strategy(&n, &seq);
         assert_eq!(sot.len(), faults.len());
