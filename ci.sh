@@ -116,6 +116,15 @@ cargo run --release -q -p motsim-cli --bin motsim -- tables figs >"$TRACE_DIR/fi
 test "$(grep -c ': DETECTED' "$TRACE_DIR/figs.txt")" -eq 4
 test "$(grep -c ': not detected' "$TRACE_DIR/figs.txt")" -eq 5
 
+echo "==> smoke: test evaluation (g5378 testeval, Table IV)"
+# The default g5378 sequence pins its symbolic output sequence's size and
+# prefix, and where a one-bit corruption collapses the product. Table IV
+# asserts that every fault-free response is accepted.
+cargo run --release -q -p motsim-cli --bin motsim -- testeval g5378 >"$TRACE_DIR/testeval.txt"
+grep -q "shared BDD size 261, prefix 1" "$TRACE_DIR/testeval.txt"
+grep -q "corrupted response rejected (product collapsed at frame 0, output 2)" "$TRACE_DIR/testeval.txt"
+cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -1,6 +1,5 @@
 //! Reference-counted external BDD handles.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -200,23 +199,7 @@ impl Bdd {
     /// Panics if the extended map is not strictly order-preserving on the
     /// support (the rename would not be a valid reordering-free operation).
     pub fn rename(&self, map: &[(VarId, VarId)]) -> Result<Bdd, BddError> {
-        let m: HashMap<u32, u32> = map.iter().map(|(a, b)| (a.0, b.0)).collect();
-        // Validate monotonicity on the support.
-        {
-            let inner = self.mgr.inner.borrow();
-            let support = inner.support(self.root); // sorted by level
-            let images: Vec<u32> = support
-                .iter()
-                .map(|v| m.get(v).copied().unwrap_or(*v))
-                .collect();
-            for w in images.windows(2) {
-                assert!(
-                    inner.var_level(w[0]) < inner.var_level(w[1]),
-                    "rename map is not strictly order-preserving on the support"
-                );
-            }
-        }
-        let r = self.mgr.inner.borrow_mut().rename(self.root, &m)?;
+        let r = self.mgr.inner.borrow_mut().rename(self.root, map)?;
         Ok(self.mgr.wrap(r))
     }
 
@@ -246,7 +229,7 @@ impl Bdd {
     pub fn support(&self) -> Vec<VarId> {
         self.mgr
             .inner
-            .borrow()
+            .borrow_mut()
             .support(self.root)
             .into_iter()
             .map(VarId)
@@ -255,7 +238,7 @@ impl Bdd {
 
     /// Number of internal nodes of this function's graph.
     pub fn size(&self) -> usize {
-        self.mgr.inner.borrow().size(&[self.root])
+        self.mgr.inner.borrow_mut().size(&[self.root])
     }
 
     /// Evaluates under a total assignment indexed by variable (`assignment[v]`
@@ -275,7 +258,10 @@ impl Bdd {
     ///
     /// Panics if `nvars` does not cover the support.
     pub fn sat_count(&self, nvars: usize) -> u128 {
-        self.mgr.inner.borrow().sat_count(self.root, nvars as u32)
+        self.mgr
+            .inner
+            .borrow_mut()
+            .sat_count(self.root, nvars as u32)
     }
 
     /// A satisfying partial assignment (variables not mentioned are free),

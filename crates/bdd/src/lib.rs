@@ -16,7 +16,12 @@
 //! - recursive ITE with standard-triple normalization and a bounded,
 //!   hit/miss-counted direct-mapped computed cache ([`BddStats`]),
 //! - reference-counted external handles ([`Bdd`]) + mark-sweep [garbage
-//!   collection](BddManager::gc),
+//!   collection](BddManager::gc); the refcounts live in an array parallel
+//!   to the node arena, and GC takes its roots from a scan of it,
+//! - hash-free traversals: the memos of restrict, compose, rename, exists
+//!   and satisfy-count, and the visited sets of support, size and the GC
+//!   mark phase, are epoch-stamped arrays indexed by arena position and
+//!   reused across calls,
 //! - a configurable **live-node limit** ([`BddManager::set_node_limit`]) —
 //!   the mechanism behind the paper's hybrid fault simulator (operations
 //!   return [`BddError::NodeLimit`] when the limit would be exceeded),

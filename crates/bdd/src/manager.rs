@@ -15,7 +15,6 @@
 //! always share one subgraph and `live` counts each such pair once.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -184,6 +183,61 @@ impl IteCache {
     }
 }
 
+/// Scratch table keyed by arena position (a node index or an edge) for one
+/// traversal at a time. An entry counts only while its stamp equals the
+/// current epoch, so [`begin`](Memo::begin) starts a traversal in O(1) and
+/// the arrays are reused across calls. Entries of earlier traversals, also
+/// those of slots that GC has since freed and reused, are stale by
+/// construction.
+#[derive(Default)]
+struct Memo<T> {
+    stamps: Vec<u32>,
+    vals: Vec<T>,
+    epoch: u32,
+}
+
+impl<T: Copy + Default> Memo<T> {
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // 2^32 traversals later: forget every stamp once.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    #[inline]
+    fn contains(&self, key: usize) -> bool {
+        self.stamps.get(key) == Some(&self.epoch)
+    }
+
+    #[inline]
+    fn get(&self, key: usize) -> Option<T> {
+        self.contains(key).then(|| self.vals[key])
+    }
+
+    #[inline]
+    fn insert(&mut self, key: usize, val: T) {
+        if key >= self.stamps.len() {
+            let len = (key + 1).next_power_of_two();
+            self.stamps.resize(len, 0);
+            self.vals.resize(len, T::default());
+        }
+        self.stamps[key] = self.epoch;
+        self.vals[key] = val;
+    }
+
+    /// Marks `key` visited; `true` on its first visit in this traversal.
+    #[inline]
+    fn visit(&mut self, key: usize) -> bool {
+        let first = !self.contains(key);
+        if first {
+            self.insert(key, T::default());
+        }
+        first
+    }
+}
+
 /// Aggregate statistics of a [`BddManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -233,9 +287,20 @@ pub(crate) struct Inner {
     unique: UniqueTable,
     cache: IteCache,
     free: Vec<u32>,
-    /// External refcounts, keyed by node *index* (complement-agnostic: a
-    /// handle to `¬f` protects the same subgraph as one to `f`).
-    ext: HashMap<u32, usize>,
+    /// External refcount of each node, indexed like `nodes`
+    /// (complement-agnostic: a handle to `¬f` protects the same subgraph as
+    /// one to `f`). The GC roots are the nonzero entries.
+    ext: Vec<u32>,
+    /// Visited set of `support`, `size` and the GC mark phase, keyed by
+    /// node index.
+    seen: Memo<()>,
+    /// Results of `restrict`, `compose` and `rename` (keyed by node index)
+    /// and of `exists` (keyed by edge).
+    memo: Memo<u32>,
+    /// Model counts of `sat_count`, keyed by edge.
+    counts: Memo<u128>,
+    /// Depth-first stack of the `seen` traversals.
+    stack: Vec<u32>,
     nvars: u32,
     /// Level (order position) of each variable, indexed by var id.
     var2level: Vec<u32>,
@@ -260,7 +325,11 @@ impl Inner {
             unique: UniqueTable::new(),
             cache: IteCache::new(),
             free: Vec::new(),
-            ext: HashMap::new(),
+            ext: vec![0],
+            seen: Memo::default(),
+            memo: Memo::default(),
+            counts: Memo::default(),
+            stack: Vec::new(),
             nvars: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
@@ -378,6 +447,7 @@ impl Inner {
             None => {
                 let id = self.nodes.len() as u32;
                 self.nodes.push(Node { var, low, high });
+                self.ext.push(0);
                 id
             }
         };
@@ -538,21 +608,29 @@ impl Inner {
         self.ite(f, g, TRUE)
     }
 
+    /// Runs one memoized traversal. The recursion needs `&mut self` next to
+    /// the memo, so the memo is taken out of `self` for its duration.
+    fn with_memo<R>(&mut self, op: impl FnOnce(&mut Self, &mut Memo<u32>) -> R) -> R {
+        let mut memo = std::mem::take(&mut self.memo);
+        memo.begin();
+        let r = op(self, &mut memo);
+        self.memo = memo;
+        r
+    }
+
     pub(crate) fn restrict(&mut self, f: u32, var: u32, val: bool) -> Result<u32, BddError> {
-        let mut memo = HashMap::new();
-        self.restrict_rec(f, var, val, &mut memo)
+        self.with_memo(|inner, memo| inner.restrict_rec(f, var, val, memo))
     }
 
     // restrict/compose/rename commute with complement, so their recursions
-    // strip the complement bit, memoize on the regular edge, and re-apply
-    // the bit on the way out — halving the memo and sharing work between a
-    // function and its negation.
+    // strip the complement bit, memoize on the node index, and re-apply the
+    // bit on the way out, sharing work between a function and its negation.
     fn restrict_rec(
         &mut self,
         f: u32,
         var: u32,
         val: bool,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut Memo<u32>,
     ) -> Result<u32, BddError> {
         let c = f & 1;
         let n = f ^ c;
@@ -560,7 +638,7 @@ impl Inner {
         if lvl > self.var_level(var) {
             return Ok(f); // var cannot occur below (ordered)
         }
-        if let Some(&r) = memo.get(&n) {
+        if let Some(r) = memo.get(index_of(n)) {
             return Ok(r ^ c);
         }
         let node = self.nodes[index_of(n)];
@@ -575,13 +653,12 @@ impl Inner {
             let hi = self.restrict_rec(node.high, var, val, memo)?;
             self.make_node(node.var, lo, hi)?
         };
-        memo.insert(n, r);
+        memo.insert(index_of(n), r);
         Ok(r ^ c)
     }
 
     pub(crate) fn compose(&mut self, f: u32, var: u32, g: u32) -> Result<u32, BddError> {
-        let mut memo = HashMap::new();
-        self.compose_rec(f, var, g, &mut memo)
+        self.with_memo(|inner, memo| inner.compose_rec(f, var, g, memo))
     }
 
     fn compose_rec(
@@ -589,7 +666,7 @@ impl Inner {
         f: u32,
         var: u32,
         g: u32,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut Memo<u32>,
     ) -> Result<u32, BddError> {
         let c = f & 1;
         let n = f ^ c;
@@ -597,7 +674,7 @@ impl Inner {
         if lvl > self.var_level(var) {
             return Ok(f);
         }
-        if let Some(&r) = memo.get(&n) {
+        if let Some(r) = memo.get(index_of(n)) {
             return Ok(r ^ c);
         }
         let node = self.nodes[index_of(n)];
@@ -611,38 +688,51 @@ impl Inner {
             let lit = self.var_lit(node.var, true);
             self.ite(lit, hi, lo)?
         };
-        memo.insert(n, r);
+        memo.insert(index_of(n), r);
         Ok(r ^ c)
     }
 
-    /// Renames variables according to `map` (var → var), which must be
-    /// strictly order-preserving on the support of `f` (checked by the
-    /// caller). A single linear traversal.
-    pub(crate) fn rename(&mut self, f: u32, map: &HashMap<u32, u32>) -> Result<u32, BddError> {
-        let mut memo = HashMap::new();
-        self.rename_rec(f, map, &mut memo)
+    /// Renames variables according to `map` (pairs `(from, to)`, the
+    /// identity elsewhere) in a single linear traversal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map is not strictly order-preserving on the support of
+    /// `f`.
+    pub(crate) fn rename(&mut self, f: u32, map: &[(VarId, VarId)]) -> Result<u32, BddError> {
+        // Dense var → var table. A variable that was never created cannot
+        // be in the support, so its entry is dropped.
+        let mut table: Vec<u32> = (0..self.nvars).collect();
+        for &(from, to) in map {
+            if let Some(t) = table.get_mut(from.index()) {
+                *t = to.0;
+            }
+        }
+        let support = self.support(f); // sorted by level
+        for w in support.windows(2) {
+            assert!(
+                self.var_level(table[w[0] as usize]) < self.var_level(table[w[1] as usize]),
+                "rename map is not strictly order-preserving on the support"
+            );
+        }
+        self.with_memo(|inner, memo| inner.rename_rec(f, &table, memo))
     }
 
-    fn rename_rec(
-        &mut self,
-        f: u32,
-        map: &HashMap<u32, u32>,
-        memo: &mut HashMap<u32, u32>,
-    ) -> Result<u32, BddError> {
+    fn rename_rec(&mut self, f: u32, map: &[u32], memo: &mut Memo<u32>) -> Result<u32, BddError> {
         let c = f & 1;
         let n = f ^ c;
         if n == TRUE {
             return Ok(f);
         }
-        if let Some(&r) = memo.get(&n) {
+        if let Some(r) = memo.get(index_of(n)) {
             return Ok(r ^ c);
         }
         let node = self.nodes[index_of(n)];
         let lo = self.rename_rec(node.low, map, memo)?;
         let hi = self.rename_rec(node.high, map, memo)?;
-        let var = map.get(&node.var).copied().unwrap_or(node.var);
+        let var = map[node.var as usize];
         let r = self.make_node(var, lo, hi)?;
-        memo.insert(n, r);
+        memo.insert(index_of(n), r);
         Ok(r ^ c)
     }
 
@@ -652,18 +742,12 @@ impl Inner {
         // sorted by *level* (current order position), not by id.
         sorted.sort_unstable_by_key(|&v| self.var_level(v));
         sorted.dedup();
-        let mut memo = HashMap::new();
-        self.exists_rec(f, &sorted, &mut memo)
+        self.with_memo(|inner, memo| inner.exists_rec(f, &sorted, memo))
     }
 
     // Quantification does NOT commute with complement (∃x.¬f ≠ ¬∃x.f), so
     // this recursion memoizes on the full edge, complement bit included.
-    fn exists_rec(
-        &mut self,
-        f: u32,
-        vars: &[u32],
-        memo: &mut HashMap<u32, u32>,
-    ) -> Result<u32, BddError> {
+    fn exists_rec(&mut self, f: u32, vars: &[u32], memo: &mut Memo<u32>) -> Result<u32, BddError> {
         if index_of(f) == 0 {
             return Ok(f);
         }
@@ -677,7 +761,7 @@ impl Inner {
         if rest.is_empty() {
             return Ok(f);
         }
-        if let Some(&r) = memo.get(&f) {
+        if let Some(r) = memo.get(f as usize) {
             return Ok(r);
         }
         let c = f & 1;
@@ -692,25 +776,33 @@ impl Inner {
             let hi = self.exists_rec(high, rest, memo)?;
             self.make_node(node.var, lo, hi)?
         };
-        memo.insert(f, r);
+        memo.insert(f as usize, r);
         Ok(r)
+    }
+
+    /// Marks in `seen`, under a fresh epoch, every internal node reachable
+    /// from the node indices on `self.stack`, calling `visit` once per node
+    /// and leaving the stack empty.
+    fn mark_from_stack(&mut self, mut visit: impl FnMut(&Node)) {
+        self.seen.begin();
+        while let Some(i) = self.stack.pop() {
+            let i = i as usize;
+            if i == 0 || !self.seen.visit(i) {
+                continue;
+            }
+            let node = self.nodes[i];
+            visit(&node);
+            self.stack.push(node.low >> 1);
+            self.stack.push(node.high >> 1);
+        }
     }
 
     /// Variables `f` depends on, sorted by their current *level* (the order
     /// they appear along any root-to-terminal path).
-    pub(crate) fn support(&self, f: u32) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
+    pub(crate) fn support(&mut self, f: u32) -> Vec<u32> {
         let mut vars = Vec::new();
-        let mut stack = vec![index_of(f)];
-        while let Some(i) = stack.pop() {
-            if i == 0 || !seen.insert(i) {
-                continue;
-            }
-            let node = self.nodes[i];
-            vars.push(node.var);
-            stack.push(index_of(node.low));
-            stack.push(index_of(node.high));
-        }
+        self.stack.push(f >> 1);
+        self.mark_from_stack(|node| vars.push(node.var));
         vars.sort_unstable_by_key(|&v| self.var_level(v));
         vars.dedup();
         vars
@@ -718,19 +810,10 @@ impl Inner {
 
     /// Distinct internal nodes reachable from `roots`. Complement bits are
     /// ignored: `f` and `¬f` have identical size by construction.
-    pub(crate) fn size(&self, roots: &[u32]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<usize> = roots.iter().map(|&r| index_of(r)).collect();
+    pub(crate) fn size(&mut self, roots: &[u32]) -> usize {
         let mut count = 0;
-        while let Some(i) = stack.pop() {
-            if i == 0 || !seen.insert(i) {
-                continue;
-            }
-            count += 1;
-            let node = self.nodes[i];
-            stack.push(index_of(node.low));
-            stack.push(index_of(node.high));
-        }
+        self.stack.extend(roots.iter().map(|&r| r >> 1));
+        self.mark_from_stack(|_| count += 1);
         count
     }
 
@@ -749,7 +832,7 @@ impl Inner {
         n == TRUE
     }
 
-    pub(crate) fn sat_count(&self, f: u32, nvars: u32) -> u128 {
+    pub(crate) fn sat_count(&mut self, f: u32, nvars: u32) -> u128 {
         assert!(nvars >= self.min_var_bound(f), "nvars below support of f");
         fn shl_sat(x: u128, s: u32) -> u128 {
             if x == 0 {
@@ -783,21 +866,14 @@ impl Inner {
                 nvars
             }
         }
-        let mut memo: HashMap<u32, u128> = HashMap::new();
-        fn rec(
-            inner: &Inner,
-            n: u32,
-            nvars: u32,
-            rank: &[u32],
-            memo: &mut HashMap<u32, u128>,
-        ) -> u128 {
+        fn rec(inner: &Inner, n: u32, nvars: u32, rank: &[u32], memo: &mut Memo<u128>) -> u128 {
             if n == FALSE {
                 return 0;
             }
             if n == TRUE {
                 return 1;
             }
-            if let Some(&c) = memo.get(&n) {
+            if let Some(c) = memo.get(n as usize) {
                 return c;
             }
             let node = inner.nodes[index_of(n)];
@@ -807,14 +883,18 @@ impl Inner {
             let ch = rec(inner, high, nvars, rank, memo);
             let c = shl_sat(cl, rank_of(inner, low, nvars, rank) - here - 1)
                 .saturating_add(shl_sat(ch, rank_of(inner, high, nvars, rank) - here - 1));
-            memo.insert(n, c);
+            memo.insert(n as usize, c);
             c
         }
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.begin();
         let top = rank_of(self, f, nvars, &rank);
-        shl_sat(rec(self, f, nvars, &rank, &mut memo), top)
+        let count = shl_sat(rec(self, f, nvars, &rank, &mut counts), top);
+        self.counts = counts;
+        count
     }
 
-    fn min_var_bound(&self, f: u32) -> u32 {
+    fn min_var_bound(&mut self, f: u32) -> u32 {
         self.support(f).iter().map(|&v| v + 1).max().unwrap_or(0)
     }
 
@@ -840,44 +920,29 @@ impl Inner {
         Some(path)
     }
 
+    // Handles to the constants count on the terminal's slot, which GC
+    // never frees; that keeps both paths branch-free. A `u32` count cannot
+    // overflow in practice: a handle takes 16 bytes on a 64-bit target, so
+    // 2^32 handles to one node would take 64 GiB.
+    #[inline]
     pub(crate) fn inc_ext(&mut self, edge: u32) {
-        let i = index_of(edge) as u32;
-        if i != 0 {
-            *self.ext.entry(i).or_insert(0) += 1;
-        }
+        self.ext[index_of(edge)] += 1;
     }
 
+    #[inline]
     pub(crate) fn dec_ext(&mut self, edge: u32) {
-        let i = index_of(edge) as u32;
-        if i != 0 {
-            match self.ext.get_mut(&i) {
-                Some(c) if *c > 1 => *c -= 1,
-                Some(_) => {
-                    self.ext.remove(&i);
-                }
-                None => debug_assert!(false, "unbalanced ext deref"),
-            }
-        }
+        let c = &mut self.ext[index_of(edge)];
+        debug_assert!(*c > 0, "unbalanced ext deref");
+        *c -= 1;
     }
 
     fn gc(&mut self) -> usize {
-        let mut marked = vec![false; self.nodes.len()];
-        marked[0] = true;
-        let mut stack: Vec<u32> = self.ext.keys().copied().collect();
-        while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if marked[i] {
-                continue;
-            }
-            marked[i] = true;
-            let node = self.nodes[i];
-            stack.push(node.low >> 1);
-            stack.push(node.high >> 1);
-        }
+        let roots = self.ext.iter().enumerate().filter(|&(_, &c)| c > 0);
+        self.stack.extend(roots.map(|(i, _)| i as u32));
+        self.mark_from_stack(|_| {});
         let mut freed = 0;
-        #[allow(clippy::needless_range_loop)] // index is the node id
         for i in 1..self.nodes.len() {
-            if !marked[i] && self.nodes[i].var != FREE_SLOT {
+            if !self.seen.contains(i) && self.nodes[i].var != FREE_SLOT {
                 self.nodes[i].var = FREE_SLOT;
                 self.free.push(i as u32);
                 freed += 1;
@@ -1320,7 +1385,7 @@ impl BddManager {
                 b.root
             })
             .collect();
-        self.inner.borrow().size(&ids)
+        self.inner.borrow_mut().size(&ids)
     }
 
     /// Manager statistics snapshot.

@@ -841,8 +841,9 @@ fn cmd_testeval(netlist: &Netlist, opts: &Opts) {
     let t0 = Instant::now();
     match sos.evaluate(&good) {
         TestVerdict::Consistent { witnesses } => println!(
-            "fault-free response accepted in {:?} ({witnesses} witness state(s))",
-            t0.elapsed()
+            "fault-free response accepted in {:?} ({} witness state(s))",
+            t0.elapsed(),
+            witness_count(witnesses)
         ),
         TestVerdict::Faulty { .. } => unreachable!("fault-free response rejected"),
     }
@@ -866,6 +867,16 @@ fn cmd_testeval(netlist: &Netlist, opts: &Opts) {
         TestVerdict::Consistent { .. } => {
             println!("no single-bit corruption is provably faulty on this circuit")
         }
+    }
+}
+
+/// A witness count as printed: `sat_count` saturates at `u128::MAX`, which
+/// a circuit with more than 127 flip-flops can reach (g5378 has 179).
+fn witness_count(witnesses: u128) -> String {
+    if witnesses == u128::MAX {
+        "≥ 2^128".to_string()
+    } else {
+        witnesses.to_string()
     }
 }
 

@@ -46,6 +46,18 @@ fn strategies_ranks_engines() {
 }
 
 #[test]
+fn testeval_prints_a_saturated_witness_count_as_a_bound() {
+    // g5378's 179 flip-flops leave more than 2^128 explaining states.
+    let out = motsim(&["testeval", "g5378"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(≥ 2^128 witness state(s))"), "{text}");
+    let out = motsim(&["testeval", "s27", "--len", "30"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(8 witness state(s))"), "{text}");
+}
+
+#[test]
 fn tgen_emits_parsable_vectors() {
     let out = motsim(&["tgen", "s27", "--max-len", "20"]);
     assert!(out.status.success());

@@ -25,6 +25,7 @@ use motsim_logic::V3;
 use motsim_netlist::Netlist;
 
 use crate::pattern::TestSequence;
+use crate::report::BddUsage;
 use crate::sim3::TrueSim;
 use crate::symbolic::SymbolicTrueSim;
 
@@ -132,6 +133,12 @@ impl SymbolicOutputSequence {
         self.mgr.shared_size(&roots)
     }
 
+    /// Usage counters of the manager the sequence lives in, covering its
+    /// construction and every [`evaluate`](Self::evaluate) call so far.
+    pub fn bdd_usage(&self) -> BddUsage {
+        BddUsage::from_stats(&self.mgr.stats())
+    }
+
     /// Evaluates a device response against the sequence.
     ///
     /// The running product is built in the manager the sequence was
@@ -218,7 +225,11 @@ pub enum TestVerdict {
     /// The response is consistent with `witnesses` initial states of the
     /// fault-free machine (over the symbolic suffix).
     Consistent {
-        /// Number of explaining initial-state assignments.
+        /// Number of explaining initial-state assignments, counted by
+        /// [`Bdd::sat_count`] over every manager variable. The count
+        /// saturates: `u128::MAX` means 2^128 or more (a count of exactly
+        /// 2^128 − 1 reads the same). Only a circuit with more than 127
+        /// flip-flops can get there; `motsim testeval g5378` (179) does.
         witnesses: u128,
     },
 }
