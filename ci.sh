@@ -125,6 +125,11 @@ grep -q "shared BDD size 261, prefix 1" "$TRACE_DIR/testeval.txt"
 grep -q "corrupted response rejected (product collapsed at frame 0, output 2)" "$TRACE_DIR/testeval.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick
 
+echo "==> examples (release, their asserts enabled)"
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -9,7 +9,7 @@
 //! motsim tgen       <circuit> [--max-len N] [--seed S] [--compact]
 //! motsim synch      <circuit> [--max-len N] [--seed S]
 //! motsim testeval   <circuit> [--len N] [--seed S] [--limit NODES]
-//! motsim diagnose   <circuit> [--len N] [--seed S] [--inject FAULT#]
+//! motsim diagnose   <circuit> [--len N] [--seed S] [--inject K]
 //! motsim dot        <circuit> [--len N] [--seed S] [--output J]
 //! motsim vcd        <circuit> [--len N] [--seed S] [--inject K] [--all-nets]
 //! motsim scoap      <circuit>
@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::process::exit;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use motsim::dictionary::FaultDictionary;
 use motsim::faults::FaultList;
@@ -108,7 +108,10 @@ commands:
 
 options (numbers in decimal or 0x hexadecimal):
          --len N  --seed S  --limit NODES  --max-len N  --complete
-         --static  --inject K  --output J  --no-xred  --all-nets  --compact
+         --static  --output J  --no-xred  --all-nets  --compact
+         --inject K  (the fault to inject: for diagnose, the K-th detectable
+                    fault, counted from 0; for vcd, the K-th collapsed
+                    fault, counted from 1, and 0 (the default) for none)
          --jobs N  (worker threads for sim3/strategies/xred; the result is
                     identical for every N — see DESIGN.md §8)
          --units N  (fixed work-unit count for sim3/strategies; default 0 =
@@ -257,6 +260,35 @@ fn parse_opts(args: &[String]) -> Opts {
 /// `sink` (the merged stream is byte-identical for every `--jobs` value).
 fn run_job(job: &motsim_engine::Job, sink: &mut dyn TraceSink) -> motsim_engine::JobResult {
     motsim_engine::run_traced(job, sink).unwrap_or_else(|e| die(&format!("engine failure: {e}")))
+}
+
+/// The Table II/III flow, shared by `strategies` and `tables`: one
+/// three-valued job over `faults`, then one timed hybrid job per strategy,
+/// in [`Strategy::ALL`] order, on `F_u`, the faults it leaves undetected.
+/// `units` fixes the hybrid jobs' work units; 0 keeps the engine's default.
+/// Returns `|F_u|` and the hybrid jobs.
+fn strategy_runs(
+    netlist: &Netlist,
+    seq: &TestSequence,
+    faults: &[motsim::Fault],
+    jobs: usize,
+    units: usize,
+    config: HybridConfig,
+    sink: &mut dyn TraceSink,
+) -> (usize, [(motsim_engine::JobResult, Duration); 3]) {
+    use motsim_engine::{EngineKind, Job};
+    let three = run_job(
+        &Job::new(netlist, seq, faults, EngineKind::Sim3).jobs(jobs),
+        sink,
+    );
+    let hard: Vec<_> = three.outcome.undetected_faults().collect();
+    let runs = Strategy::ALL.map(|strategy| {
+        let t0 = Instant::now();
+        let job = Job::new(netlist, seq, &hard, EngineKind::Hybrid(strategy, config)).jobs(jobs);
+        let job = if units > 0 { job.units(units) } else { job };
+        (run_job(&job, sink), t0.elapsed())
+    });
+    (hard.len(), runs)
 }
 
 /// The CLI's composite sink behind `--trace` / `--trace-summary`: streams
@@ -665,52 +697,36 @@ fn cmd_strategies(netlist: &Netlist, opts: &Opts) {
     let faults = FaultList::collapsed(netlist);
     let seq = TestSequence::random(netlist, opts.len, opts.seed);
     let mut trace = TraceOut::from_opts(opts);
-    let three = run_job(
-        &motsim_engine::Job::new(
-            netlist,
-            &seq,
-            faults.as_slice(),
-            motsim_engine::EngineKind::Sim3,
-        )
-        .jobs(opts.jobs),
-        &mut trace,
-    )
-    .outcome;
-    let hard: Vec<_> = three.undetected_faults().collect();
-    println!(
-        "{}: |F| = {}, three-valued detects {}, {} hard faults remain",
-        netlist.name(),
-        faults.len(),
-        three.num_detected(),
-        hard.len()
-    );
     let config = HybridConfig {
         node_limit: opts.limit,
         fallback_frames: 8,
         reorder: opts.reorder,
     };
-    for strategy in Strategy::ALL {
-        let t0 = Instant::now();
-        let mut job = motsim_engine::Job::new(
-            netlist,
-            &seq,
-            &hard,
-            motsim_engine::EngineKind::Hybrid(strategy, config),
-        )
-        .jobs(opts.jobs);
-        if opts.units > 0 {
-            job = job.units(opts.units);
-        }
-        let r = run_job(&job, &mut trace);
+    let (hard, runs) = strategy_runs(
+        netlist,
+        &seq,
+        faults.as_slice(),
+        opts.jobs,
+        opts.units,
+        config,
+        &mut trace,
+    );
+    println!(
+        "{}: |F| = {}, three-valued detects {}, {} hard faults remain",
+        netlist.name(),
+        faults.len(),
+        faults.len() - hard,
+        hard
+    );
+    for (strategy, (r, elapsed)) in Strategy::ALL.into_iter().zip(&runs) {
         println!(
-            "  {strategy:>4}: +{:<5} detected{} in {:?} ({} unit(s), {} worker(s))",
+            "  {strategy:>4}: +{:<5} detected{} in {elapsed:?} ({} unit(s), {} worker(s))",
             r.outcome.num_detected(),
             if r.outcome.is_approximate() {
                 " (*)"
             } else {
                 ""
             },
-            t0.elapsed(),
             r.units,
             r.workers
         );

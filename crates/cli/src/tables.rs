@@ -33,7 +33,7 @@ use motsim_circuits::figures::{self, Figure};
 use motsim_circuits::suite::BenchmarkSpec;
 use motsim_netlist::{Lead, Netlist};
 
-use crate::{die, Opts};
+use crate::{die, strategy_runs, Opts};
 
 /// Runs `motsim tables <which>`.
 pub fn run(which: &str, opts: &Opts) {
@@ -206,20 +206,22 @@ fn print_table23_header() {
 fn table23_row(spec: &BenchmarkSpec, seq: &TestSequence, jobs: usize) -> (String, [usize; 3]) {
     let netlist = (spec.build)();
     let faults = FaultList::collapsed(&netlist);
-    let three = FaultSim3::run(&netlist, seq, faults.iter().cloned());
-    let hard: Vec<_> = three.undetected_faults().collect();
-
-    let runs = Strategy::ALL.map(|strategy| {
-        let kind = motsim_engine::EngineKind::Hybrid(strategy, HybridConfig::default());
-        timed(|| {
-            motsim_engine::run(&motsim_engine::Job::new(&netlist, seq, &hard, kind).jobs(jobs))
-                .expect("hybrid jobs cannot fail")
-                .outcome
-        })
-    });
-    let detected = runs.each_ref().map(|(outcome, _)| outcome.num_detected());
+    let (hard, runs) = strategy_runs(
+        &netlist,
+        seq,
+        faults.as_slice(),
+        jobs,
+        0,
+        HybridConfig::default(),
+        &mut motsim_trace::NullSink,
+    );
+    let detected = runs.each_ref().map(|(r, _)| r.outcome.num_detected());
     let [det_sot, det_rmot, det_mot] = [0, 1, 2].map(|i| {
-        let star = if runs[i].0.is_approximate() { "*" } else { "" };
+        let star = if runs[i].0.outcome.is_approximate() {
+            "*"
+        } else {
+            ""
+        };
         format!("{star}{}", detected[i])
     });
     let line = row(
@@ -228,7 +230,7 @@ fn table23_row(spec: &BenchmarkSpec, seq: &TestSequence, jobs: usize) -> (String
             &spec.name,
             &seq.len(),
             &faults.len(),
-            &hard.len(),
+            &hard,
             &"|",
             &det_sot,
             &det_rmot,

@@ -139,6 +139,16 @@ fn diagnose_rejects_an_out_of_range_inject_index() {
     assert!(!text.contains("injected"), "{text}");
 }
 
+#[test]
+fn vcd_rejects_an_out_of_range_inject_index() {
+    let out = motsim(&["vcd", "g27", "--inject", "99999"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--inject index out of range"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
 /// Writes `content` to a fresh temp file and runs `trace-check` on it,
 /// returning (success, stderr).
 fn trace_check(name: &str, content: &str) -> (bool, String) {

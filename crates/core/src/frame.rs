@@ -1,10 +1,11 @@
 //! The frame kernels of the fault simulators.
 //!
-//! The dense kernel, shared by `simb`, `pfsim` and `sim3`, is one levelized
-//! frame pass and one next-state step, generic over the value domain
-//! ([`Logic`]) and the fault injector ([`Inject`]). It alone fixes *where* a
-//! stuck-at fault can force a value — every stem, gate input pin and D pin;
-//! an injector only says *what* is forced there.
+//! The dense kernel, shared by `simb` and `sim3`, is one levelized frame
+//! pass and one next-state step, generic over the value domain ([`Logic`])
+//! and forcing at most one stuck-at fault ([`Stuck`]) in every lane. It
+//! alone fixes *where* a stuck-at fault can force a value — every stem,
+//! gate input pin and D pin; the [`Stuck`] value only says *what* is forced
+//! there.
 //!
 //! The sparse kernel ([`Sparse`]), shared by `FaultSim3` and
 //! `SymbolicFaultSim`, is event-driven single-fault propagation: one
@@ -12,49 +13,33 @@
 //! flip-flops through the levelized circuit, against an already evaluated
 //! fault-free frame. It is generic over any value type with a (fallible)
 //! gate evaluator — `V3` or BDDs — and forces the stuck value at the same
-//! leads as the dense kernel, through a [`Stuck`] injector.
+//! leads as the dense kernel, through the same [`Stuck`] type.
 
 use motsim_logic::{fold_gate, Logic};
 use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
 
 use crate::faults::Fault;
 
-/// The values a stuck-at fault model forces on a frame's leads.
-pub(crate) trait Inject<L> {
-    /// The value stem `net` carries, given its fault-free value `v`.
-    fn stem(&self, net: NetId, v: L) -> L;
-    /// The value branch `lead` delivers to its sink pin, from stem value `v`.
-    fn pin(&self, lead: Lead, v: L) -> L;
-}
-
-/// A single stuck-at fault forced in every lane, or none.
-impl<L: Logic> Inject<L> for Option<Fault> {
-    #[inline]
-    fn stem(&self, net: NetId, v: L) -> L {
-        self.pin(Lead::stem(net), v)
-    }
-
-    #[inline]
-    fn pin(&self, lead: Lead, v: L) -> L {
-        match self {
-            Some(f) if f.lead == lead => L::from_bool(f.stuck),
-            _ => v,
-        }
-    }
-}
-
 /// A single stuck-at fault with its stuck value in the domain `L`.
-struct Stuck<L> {
+#[derive(Clone, Copy)]
+pub(crate) struct Stuck<L> {
     fault: Fault,
     value: L,
 }
 
-impl<L: Clone> Inject<L> for Stuck<L> {
-    #[inline]
-    fn stem(&self, net: NetId, v: L) -> L {
-        self.pin(Lead::stem(net), v)
+impl<L: Logic> Stuck<L> {
+    /// `fault`, forcing its stuck value in every lane.
+    pub(crate) fn new(fault: Fault) -> Self {
+        Stuck {
+            fault,
+            value: L::from_bool(fault.stuck),
+        }
     }
+}
 
+impl<L: Clone> Stuck<L> {
+    /// The value `lead` carries (a stem) or delivers to its sink pin (a
+    /// branch), given its fault-free value `v`.
     #[inline]
     fn pin(&self, lead: Lead, v: L) -> L {
         if self.fault.lead == lead {
@@ -65,13 +50,19 @@ impl<L: Clone> Inject<L> for Stuck<L> {
     }
 }
 
+/// The value `lead` carries under the dense kernel's fault, if any.
+#[inline]
+fn force<L: Logic>(stuck: Option<Stuck<L>>, lead: Lead, v: L) -> L {
+    stuck.map_or(v, |s| s.pin(lead, v))
+}
+
 /// Boolean primary-input values as known values of the domain `L`.
 pub(crate) fn known<L: Logic>(bits: &[bool]) -> impl ExactSizeIterator<Item = L> + '_ {
     bits.iter().map(|&b| L::from_bool(b))
 }
 
 /// Evaluates one combinational frame into `values` (indexed by net), with
-/// the injector's forcing applied.
+/// the fault `stuck`, if any, forced in every lane.
 ///
 /// # Panics
 ///
@@ -80,7 +71,7 @@ pub(crate) fn eval_frame<L: Logic>(
     netlist: &Netlist,
     state: &[L],
     inputs: impl ExactSizeIterator<Item = L>,
-    inject: &impl Inject<L>,
+    stuck: Option<Stuck<L>>,
     values: &mut Vec<L>,
 ) {
     assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
@@ -88,10 +79,10 @@ pub(crate) fn eval_frame<L: Logic>(
     values.clear();
     values.resize(netlist.num_nets(), L::default());
     for (&pi, v) in netlist.inputs().iter().zip(inputs) {
-        values[pi.index()] = inject.stem(pi, v);
+        values[pi.index()] = force(stuck, Lead::stem(pi), v);
     }
     for (&q, &v) in netlist.dffs().iter().zip(state) {
-        values[q.index()] = inject.stem(q, v);
+        values[q.index()] = force(stuck, Lead::stem(q), v);
     }
     for &g in netlist.eval_order() {
         let net = netlist.net(g);
@@ -102,8 +93,8 @@ pub(crate) fn eval_frame<L: Logic>(
             .fanin()
             .iter()
             .enumerate()
-            .map(|(pin, &f)| inject.pin(Lead::branch(f, g, pin as u32), values[f.index()]));
-        values[g.index()] = inject.stem(g, fold_gate(kind, pins));
+            .map(|(pin, &f)| force(stuck, Lead::branch(f, g, pin as u32), values[f.index()]));
+        values[g.index()] = force(stuck, Lead::stem(g), fold_gate(kind, pins));
     }
 }
 
@@ -116,13 +107,13 @@ pub(crate) fn eval_frame<L: Logic>(
 pub(crate) fn next_state<L: Logic>(
     netlist: &Netlist,
     values: &[L],
-    inject: &impl Inject<L>,
+    stuck: Option<Stuck<L>>,
     state: &mut [L],
 ) {
     assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
     for (s, &q) in state.iter_mut().zip(netlist.dffs()) {
         let d = netlist.dff_d(q);
-        *s = inject.pin(Lead::branch(d, q, 0), values[d.index()]);
+        *s = force(stuck, Lead::branch(d, q, 0), values[d.index()]);
     }
 }
 
@@ -362,7 +353,7 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
                     let v = fval[f.index()].as_ref().unwrap_or(&good[f.index()]);
                     fanin.push(stuck.pin(Lead::branch(f, g, pin as u32), v.clone()));
                 }
-                let out = stuck.stem(g, eval(kind, fanin)?);
+                let out = stuck.pin(Lead::stem(g), eval(kind, fanin)?);
                 if out != good[g.index()] {
                     set(fval, g, out);
                     queue.push_fanout(netlist, g);

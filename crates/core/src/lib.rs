@@ -29,16 +29,15 @@
 //!    [`exhaustive`] brute-force oracle that validates the symbolic engines
 //!    on small circuits, and as a fast pattern evaluator.
 //!
-//! `simb`, [`pfsim`] and `sim3`'s dense evaluation (the true-value
-//! simulator and the faulty-frame reference) all run on one crate-private
-//! dense frame kernel: a single levelized frame pass and next-state step,
-//! generic over the value domain ([`motsim_logic::Logic`], for `u64` words of
-//! 64 Boolean lanes and for [`V3`](motsim_logic::V3)) and over a fault
-//! injector (one [`Fault`] forced in every lane, or `pfsim`'s per-lane
-//! set/clear masks). The kernel alone decides where a stuck-at fault forces
-//! a value. Next to it, one sparse pass implements event-driven
-//! single-fault propagation for both [`FaultSim3`](sim3::FaultSim3) (over
-//! `V3`) and [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs,
+//! `simb` and `sim3`'s dense evaluation (the true-value simulator and the
+//! faulty-frame reference) run on one crate-private dense frame kernel: a
+//! single levelized frame pass and next-state step, generic over the value
+//! domain ([`motsim_logic::Logic`], for `u64` words of 64 Boolean lanes and
+//! for [`V3`](motsim_logic::V3)) and forcing at most one [`Fault`] in every
+//! lane. The kernel alone decides where a stuck-at fault forces a value.
+//! Next to it, one sparse pass implements event-driven single-fault
+//! propagation for both [`FaultSim3`](sim3::FaultSim3) (over `V3`) and
+//! [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs,
 //! with a fallible gate evaluator); the two engines keep only their
 //! observation rules. Two loops stay separate because they compute
 //! something else: the fallible dense BDD evaluators of [`symbolic`], and
@@ -47,8 +46,6 @@
 //! Around the pipeline, the crate ships the downstream tooling a fault
 //! simulator enables:
 //!
-//! - [`pfsim`] — word-parallel fault simulation for circuits *with* a known
-//!   reset state (the HOPE-style \[10\] baseline),
 //! - [`synch`] — synchronizing-sequence search and profiling (exact,
 //!   BDD-based — succeeds on the circuit classes of \[11\] where any
 //!   three-valued search must fail),
@@ -98,7 +95,6 @@ mod frame;
 pub mod hybrid;
 pub mod ordering;
 pub mod pattern;
-pub mod pfsim;
 pub mod report;
 pub mod sim3;
 pub mod simb;

@@ -22,7 +22,7 @@ use motsim_netlist::{NetId, Netlist};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
-use crate::frame;
+use crate::frame::{self, Stuck};
 use crate::pattern::TestSequence;
 use crate::report::{Detection, FaultOutcome, SimOutcome};
 
@@ -54,7 +54,7 @@ impl<'a> TrueSim<'a> {
     /// Panics if `inputs` does not match the circuit's input count.
     pub fn step(&mut self, inputs: &[bool]) {
         eval_frame(self.netlist, &self.state, inputs, &mut self.values);
-        frame::next_state(self.netlist, &self.values, &None::<Fault>, &mut self.state);
+        frame::next_state(self.netlist, &self.values, None, &mut self.state);
         self.frame += 1;
     }
 
@@ -105,7 +105,7 @@ impl<'a> TrueSim<'a> {
 ///
 /// Panics if `inputs`/`state` lengths do not match the circuit.
 pub fn eval_frame(netlist: &Netlist, state: &[V3], inputs: &[bool], values: &mut Vec<V3>) {
-    frame::eval_frame(netlist, state, frame::known(inputs), &None::<Fault>, values);
+    frame::eval_frame(netlist, state, frame::known(inputs), None, values);
 }
 
 /// Evaluates one combinational frame of the *faulty* machine by full
@@ -125,7 +125,8 @@ pub fn eval_frame_with_fault(
     fault: Fault,
     values: &mut Vec<V3>,
 ) {
-    frame::eval_frame(netlist, state, frame::known(inputs), &Some(fault), values);
+    let stuck = Some(Stuck::new(fault));
+    frame::eval_frame(netlist, state, frame::known(inputs), stuck, values);
 }
 
 /// Advances the faulty present state after [`eval_frame_with_fault`]
@@ -135,7 +136,7 @@ pub fn eval_frame_with_fault(
 ///
 /// Panics if `state` does not match the flip-flop count.
 pub fn next_state_with_fault(netlist: &Netlist, values: &[V3], fault: Fault, state: &mut [V3]) {
-    frame::next_state(netlist, values, &Some(fault), state);
+    frame::next_state(netlist, values, Some(Stuck::new(fault)), state);
 }
 
 /// The fault-free three-valued machine over a whole sequence: every
@@ -661,6 +662,87 @@ mod tests {
         assert_eq!(trajectory.frames(), 50);
         let shared = run_on(&n, &trajectory, &faults, &mut motsim_trace::NullSink);
         assert_eq!(shared, FaultSim3::run(&n, &seq, faults.iter().copied()));
+    }
+
+    /// Simulates `faults` over `seq` with the fault-free machine and every
+    /// faulty machine starting in the fully known state `reset`.
+    fn run_from(
+        netlist: &Netlist,
+        reset: &[V3],
+        seq: &TestSequence,
+        faults: &[Fault],
+    ) -> SimOutcome {
+        let seeded = faults.iter().map(|&f| (f, reset.to_vec()));
+        let mut sim = FaultSim3::with_states(netlist, reset, seeded);
+        for v in seq {
+            sim.step(v);
+        }
+        sim.outcome()
+    }
+
+    /// From a fully known state `r`, three-valued logic is two-valued: each
+    /// collapsed fault is detected at the first bit `t·l + j` where the
+    /// exhaustive oracle's fault-free and faulty responses from `r` differ,
+    /// and not at all where they never differ.
+    fn known_state_matches_oracle(netlist: &Netlist, seed: u64) {
+        use crate::exhaustive::ResponseMatrix;
+        let seq = TestSequence::random(netlist, 40, seed);
+        let faults: Vec<Fault> = FaultList::collapsed(netlist).iter().copied().collect();
+        let good = ResponseMatrix::simulate(netlist, &seq, None);
+        let bad: Vec<_> = faults
+            .iter()
+            .map(|&f| ResponseMatrix::simulate(netlist, &seq, Some(f)))
+            .collect();
+        let l = netlist.num_outputs();
+        for r in 0..good.num_states() {
+            let reset: Vec<V3> = (0..netlist.num_dffs())
+                .map(|i| V3::from_bool((r >> i) & 1 == 1))
+                .collect();
+            let outcome = run_from(netlist, &reset, &seq, &faults);
+            for (res, (&fault, faulty)) in outcome.results.iter().zip(faults.iter().zip(&bad)) {
+                assert_eq!(res.fault, fault, "results in fault-list order");
+                let expect = (0..seq.len() * l)
+                    .find(|&b| good.output(r, b / l, b % l) != faulty.output(r, b / l, b % l))
+                    .map(|b| Detection {
+                        frame: b / l,
+                        output: b % l,
+                    });
+                assert_eq!(
+                    res.detection,
+                    expect,
+                    "{} from state {r}",
+                    res.fault.display(netlist)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn known_state_matches_oracle_on_s27() {
+        known_state_matches_oracle(&motsim_circuits::s27(), 3);
+    }
+
+    #[test]
+    fn known_state_matches_oracle_on_counter() {
+        known_state_matches_oracle(&motsim_circuits::generators::counter(6), 4);
+    }
+
+    #[test]
+    fn known_state_matches_oracle_on_fsm() {
+        use motsim_circuits::generators::{fsm, FsmParams};
+        known_state_matches_oracle(&fsm("t", 5, FsmParams::default()), 5);
+    }
+
+    #[test]
+    fn known_reset_beats_unknown_state_coverage() {
+        // With a known reset the coverage can only be ≥ the all-X run.
+        let n = motsim_circuits::generators::counter(8);
+        let faults: Vec<Fault> = FaultList::collapsed(&n).iter().copied().collect();
+        let seq = TestSequence::random(&n, 60, 7);
+        let with_reset = run_from(&n, &[V3::Zero; 8], &seq, &faults);
+        let unknown = FaultSim3::run(&n, &seq, faults.iter().copied());
+        assert!(with_reset.num_detected() >= unknown.num_detected());
+        assert!(with_reset.num_detected() > 0);
     }
 
     /// Oracle: serial full re-simulation of the faulty machine through the

@@ -8,7 +8,7 @@
 use motsim_netlist::Netlist;
 
 use crate::faults::Fault;
-use crate::frame;
+use crate::frame::{self, Stuck};
 
 /// Evaluates one combinational frame over 64 parallel Boolean scenarios.
 ///
@@ -26,7 +26,8 @@ pub fn eval_frame_u64(
     fault: Option<Fault>,
     values: &mut Vec<u64>,
 ) {
-    frame::eval_frame(netlist, state, inputs.iter().copied(), &fault, values);
+    let stuck = fault.map(Stuck::new);
+    frame::eval_frame(netlist, state, inputs.iter().copied(), stuck, values);
 }
 
 /// Advances a 64-lane state vector by one frame (companion to
@@ -36,7 +37,7 @@ pub fn eval_frame_u64(
 ///
 /// Panics if `state` does not match the flip-flop count.
 pub fn next_state_u64(netlist: &Netlist, values: &[u64], fault: Option<Fault>, state: &mut [u64]) {
-    frame::next_state(netlist, values, &fault, state);
+    frame::next_state(netlist, values, fault.map(Stuck::new), state);
 }
 
 /// Broadcasts one Boolean vector into all 64 lanes.

@@ -10,7 +10,7 @@ use motsim_logic::V3;
 use motsim_netlist::{NetId, Netlist};
 
 use crate::faults::Fault;
-use crate::frame;
+use crate::frame::{self, Stuck};
 use crate::pattern::TestSequence;
 
 /// Which nets to include in a dump.
@@ -107,12 +107,13 @@ pub fn dump_with_fault(
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
 
+    let stuck = fault.map(Stuck::new);
     let mut state = vec![V3::X; netlist.num_dffs()];
     let mut frame_vals: Vec<V3> = Vec::new();
     let mut last: Vec<Option<V3>> = vec![None; nets.len()];
     for (t, v) in seq.iter().enumerate() {
-        frame::eval_frame(netlist, &state, frame::known(v), &fault, &mut frame_vals);
-        frame::next_state(netlist, &frame_vals, &fault, &mut state);
+        frame::eval_frame(netlist, &state, frame::known(v), stuck, &mut frame_vals);
+        frame::next_state(netlist, &frame_vals, stuck, &mut state);
         let _ = writeln!(out, "#{t}");
         for (i, &n) in nets.iter().enumerate() {
             let val = frame_vals[n.index()];

@@ -109,3 +109,30 @@ fn policies_agree_on_verdicts() {
     let lpt = outcome(&base.policy(PartitionPolicy::CostBalanced));
     assert_eq!(rr, lpt);
 }
+
+#[test]
+fn symbolic_verdicts_unit_count_invariant() {
+    // Exact symbolic verdicts depend on each fault alone: the unit count
+    // may change the BDD statistics but never a detection.
+    for n in [
+        motsim_circuits::s27(),
+        motsim_circuits::generators::counter(6),
+    ] {
+        let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
+        let seq = TestSequence::random(&n, 40, 0xDAC95);
+        for strategy in Strategy::ALL {
+            let base = Job::new(&n, &seq, &faults, EngineKind::Symbolic(strategy)).jobs(2);
+            let [one, three, eight] = [1, 3, 8].map(|units| outcome(&base.units(units)));
+            assert!(one.num_detected() > 0, "{} {strategy}", n.name());
+            for (units, run) in [(3, &three), (8, &eight)] {
+                assert!(!run.is_approximate() && !one.is_approximate());
+                assert_eq!(
+                    run.results,
+                    one.results,
+                    "{} {strategy}: units=1 vs {units}",
+                    n.name()
+                );
+            }
+        }
+    }
+}

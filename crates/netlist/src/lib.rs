@@ -38,7 +38,6 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod dot;
 mod error;
 mod model;
 pub mod parse;

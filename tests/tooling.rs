@@ -1,6 +1,6 @@
 //! Integration tests for the downstream tooling built on the fault
-//! simulator: dictionaries, diagnosis, synchronization, the known-reset
-//! baseline, compaction, ordering and SCOAP — and how they interact.
+//! simulator: dictionaries, diagnosis, synchronization, compaction,
+//! ordering and SCOAP — and how they interact.
 
 use std::collections::BTreeSet;
 
@@ -9,16 +9,16 @@ use motsim::dictionary::FaultDictionary;
 use motsim::faults::{Fault, FaultList};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
-use motsim::pfsim;
 use motsim::sim3::FaultSim3;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::synch::{self, SynchConfig};
 use motsim::testability::Testability;
 use motsim::vcd;
 use motsim::xred::XRedAnalysis;
+use motsim_logic::V3;
 
-/// Synchronizing first makes the three-valued simulator as strong as the
-/// known-reset parallel-fault baseline from the synchronization point on.
+/// Synchronizing first makes the three-valued simulator as strong as a
+/// known-reset run from the synchronization point on.
 #[test]
 fn synchronized_prefix_closes_the_reset_gap() {
     let n = motsim_circuits::generators::counter(6);
@@ -39,8 +39,13 @@ fn synchronized_prefix_closes_the_reset_gap() {
     // synchronized state (all zeros for the cleared counter).
     let profile = synch::profile(&n, &sync);
     assert!(profile.synchronizes_v3());
-    let reset = vec![false; n.num_dffs()];
-    let with_reset = pfsim::parallel_fault_run(&n, &reset, &payload, &faults);
+    let reset = vec![V3::Zero; n.num_dffs()];
+    let seeded = faults.iter().map(|&f| (f, reset.clone()));
+    let mut baseline = FaultSim3::with_states(&n, &reset, seeded);
+    for v in &payload {
+        baseline.step(v);
+    }
+    let with_reset = baseline.outcome();
 
     // The synchronized run must reach at least the reset baseline's
     // coverage on faults outside the clear circuitry: sanity-compare
