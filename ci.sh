@@ -116,6 +116,20 @@ cargo run --release -q -p motsim-cli --bin motsim -- tables figs >"$TRACE_DIR/fi
 test "$(grep -c ': DETECTED' "$TRACE_DIR/figs.txt")" -eq 4
 test "$(grep -c ': not detected' "$TRACE_DIR/figs.txt")" -eq 5
 
+echo "==> smoke: hybrid under node-limit pressure (table2 --jobs 1 vs 2)"
+# Table II runs the hybrid SOT/rMOT/MOT simulators at 30,000 nodes; several
+# rows fall back (`*`). Its counts must not depend on --jobs (the last three
+# columns are times and are stripped), and the column sums are pinned.
+table2_smoke() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    tables table2 --quick --jobs "$1" >"$TRACE_DIR/table2_j$1.txt"
+}
+table2_smoke 1
+table2_smoke 2
+diff <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j1.txt") \
+  <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j2.txt")
+grep -q "Σ detected: SOT 279  rMOT 304  MOT 292" "$TRACE_DIR/table2_j1.txt"
+
 echo "==> smoke: test evaluation (g5378 testeval, Table IV)"
 # The default g5378 sequence pins its symbolic output sequence's size and
 # prefix, and where a one-bit corruption collapses the product. Table IV

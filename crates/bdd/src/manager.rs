@@ -267,6 +267,10 @@ pub struct BddStats {
     pub reorder_runs: u64,
     /// Adjacent-level swaps performed across all sifting passes.
     pub reorder_swaps: u64,
+    /// Internal nodes allocated so far, including ones GC later reclaimed:
+    /// a monotone measure of work that does not depend on when collections
+    /// run.
+    pub nodes_created: u64,
 }
 
 impl BddStats {
@@ -309,6 +313,11 @@ pub(crate) struct Inner {
     limit: Option<usize>,
     live: usize,
     peak_live: usize,
+    /// Conservative "may hold garbage" bit: set by every allocation and by
+    /// every external refcount that drops to zero, cleared by `gc`. While
+    /// it is clear, every node in the arena is reachable from a handle.
+    garbage: bool,
+    created: u64,
     gc_runs: u64,
     reorder_runs: u64,
     reorder_swaps: u64,
@@ -336,6 +345,8 @@ impl Inner {
             limit: None,
             live: 0,
             peak_live: 0,
+            garbage: false,
+            created: 0,
             gc_runs: 0,
             reorder_runs: 0,
             reorder_swaps: 0,
@@ -455,6 +466,8 @@ impl Inner {
         self.unique.len += 1;
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
+        self.created += 1;
+        self.garbage = true;
         Ok((id << 1) ^ c)
     }
 
@@ -934,6 +947,7 @@ impl Inner {
         let c = &mut self.ext[index_of(edge)];
         debug_assert!(*c > 0, "unbalanced ext deref");
         *c -= 1;
+        self.garbage |= *c == 0;
     }
 
     fn gc(&mut self) -> usize {
@@ -968,6 +982,7 @@ impl Inner {
             self.unique.len += 1;
         }
         self.cache.clear();
+        self.garbage = false;
         self.gc_runs += 1;
         freed
     }
@@ -1352,6 +1367,16 @@ impl BddManager {
         self.inner.borrow_mut().gc()
     }
 
+    /// Whether the arena may hold unreachable nodes, i.e. whether a
+    /// [`gc`](Self::gc) could free anything. Conservative: `true` after any
+    /// allocation or any handle drop that released a node's last external
+    /// reference since the last collection, even if every such node is
+    /// still reachable. `false` means the arena is exactly the set of nodes
+    /// the live handles reach, as right after a collection.
+    pub fn has_garbage(&self) -> bool {
+        self.inner.borrow().garbage
+    }
+
     /// Runs `op`; if it hits the node limit, runs [`gc`](Self::gc) and
     /// retries `op` once, returning the second attempt's result.
     ///
@@ -1403,6 +1428,7 @@ impl BddManager {
             unique_probes: inner.unique.probes,
             reorder_runs: inner.reorder_runs,
             reorder_swaps: inner.reorder_swaps,
+            nodes_created: inner.created,
         }
     }
 
@@ -1604,6 +1630,32 @@ mod tests {
     }
 
     #[test]
+    fn garbage_bit_and_creation_counter() {
+        let m = BddManager::new();
+        let (x, y) = (m.new_var(), m.new_var());
+        assert!(m.has_garbage(), "an allocation may leave garbage");
+        m.gc();
+        assert!(!m.has_garbage());
+        // Handles to existing nodes neither allocate nor release anything.
+        let (x2, nx) = (x.clone(), x.not());
+        drop((x2, nx));
+        assert!(!m.has_garbage());
+        let created = m.stats().nodes_created;
+        let f = x.and(&y).unwrap();
+        assert!(m.has_garbage());
+        assert_eq!(m.stats().nodes_created, created + 1);
+        m.gc();
+        assert!(!m.has_garbage(), "f is still held");
+        // A recomputation finds the node and allocates nothing.
+        drop(x.and(&y).unwrap());
+        assert!(!m.has_garbage());
+        drop(f);
+        assert!(m.has_garbage(), "the last handle to x∧y is gone");
+        assert_eq!(m.gc(), 1);
+        assert_eq!(m.stats().nodes_created, created + 1, "gc never uncounts");
+    }
+
+    #[test]
     fn gc_reclaims_dead_nodes() {
         let m = BddManager::new();
         let vars: Vec<Bdd> = (0..10).map(|_| m.new_var()).collect();
@@ -1734,6 +1786,7 @@ mod tests {
         let count_before = f.sat_count(6);
         let freed = m.sift(&[], 1.2);
         assert!(freed > 0, "sifting must shed nodes on the bad order");
+        assert!(!m.has_garbage(), "a sifting pass ends on a collected arena");
         assert!(f.size() < before, "{} !< {before}", f.size());
         assert_eq!(m.canonical_violations(), 0);
         // `eval` indexes by stable var id, so the truth table is an

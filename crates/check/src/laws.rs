@@ -12,6 +12,7 @@
 //! | `strategy-containment` | sim3 ⊆ SOT ⊆ rMOT ⊆ MOT (Definitions 2–3) |
 //! | `hybrid-matches-symbolic` | hybrid ≡ symbolic when exact, ⊆ when degraded |
 //! | `jobs-invariance` | sharded verdicts and trace streams are worker-count independent |
+//! | `units-invariance` | exact verdicts do not depend on the work-unit count |
 //! | `reorder-invariance` | variable order and mid-run sifting never change verdicts |
 //! | `lemma1-rename-invariance` | `D(x,y)` is invariant under the `y`-block placement (Lemma 1) |
 //! | `bench-round-trip` | `.bench` write → parse → write is a fixpoint |
@@ -63,6 +64,10 @@ pub fn all_laws() -> Vec<Law> {
         Law {
             name: "jobs-invariance",
             run: jobs_invariance,
+        },
+        Law {
+            name: "units-invariance",
+            run: units_invariance,
         },
         Law {
             name: "reorder-invariance",
@@ -290,6 +295,29 @@ fn jobs_invariance(case: &SimCase) -> Result<(), String> {
         if a_trace != b_trace {
             return fail(format!(
                 "{engine:?}: trace streams differ between --jobs 1 and --jobs 4"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Exact SOT, rMOT and MOT verdicts (fault, frame and output) are the same
+/// for one work unit as for `k` of them, with `k` in `2..=8` drawn from the
+/// case's sequence seed: each unit runs in a fresh manager, and an exact
+/// verdict must not depend on which faults share it.
+fn units_invariance(case: &SimCase) -> Result<(), String> {
+    let k = 2 + (case.params.seq_seed % 7) as usize;
+    for strategy in Strategy::ALL {
+        let engine = EngineKind::Symbolic(strategy);
+        let job = Job::new(&case.netlist, &case.seq, &case.faults, engine);
+        let run = |units| {
+            motsim_engine::run(&job.units(units))
+                .map(|r| r.outcome.results)
+                .map_err(|e| format!("job failed: {e}"))
+        };
+        if run(1)? != run(k)? {
+            return fail(format!(
+                "{strategy}: verdicts differ between 1 and {k} work unit(s)"
             ));
         }
     }
@@ -549,8 +577,9 @@ mod tests {
     #[test]
     fn law_list_is_stable() {
         let names: Vec<&str> = all_laws().iter().map(|l| l.name).collect();
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), 10);
         assert!(names.contains(&"oracle-agreement"));
+        assert!(names.contains(&"units-invariance"));
         assert!(names.contains(&"lemma1-rename-invariance"));
     }
 

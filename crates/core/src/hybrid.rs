@@ -15,6 +15,15 @@
 //! the mechanism behind the paper's s838.1 anomaly, where MOT — whose
 //! `(x, y)` BDDs are bigger — falls back more often than rMOT and ends up
 //! *less* accurate.
+//!
+//! A frame falls back iff it does not fit the limit after a full GC.
+//! [`SymbolicFaultSim::step`] settles that with one attempt from a collected
+//! arena, never two: it collects first when the previous frame predicts
+//! pressure, and otherwise tries the uncollected arena first. So a frame
+//! that cannot fit costs at most one aborted uncollected attempt, one GC
+//! and one collected attempt before the fallback begins. The sifting retry
+//! of [`ReorderPolicy::Sift`] starts from the collected arena the pass
+//! leaves behind.
 
 use motsim_bdd::BddError;
 use motsim_logic::V3;

@@ -287,10 +287,38 @@ pub struct SymbolicFaultSim<'a> {
     records: Vec<SymFaultRecord>,
     sparse: Sparse<'a, Bdd>,
     frame: usize,
-    gc_threshold: usize,
     degraded_terms: usize,
     trace_offset: usize,
     last_frame_events: usize,
+    /// Nodes the manager allocated during the previous [`step`](Self::step)
+    /// call: the collect-first predictor's input.
+    last_frame_created: usize,
+}
+
+/// Live nodes past which a run *without* a node limit collects at the end
+/// of a frame. Under a limit, [`SymbolicFaultSim::step`] collects before a
+/// frame instead, and only when the frame needs it.
+const UNLIMITED_GC_THRESHOLD: usize = 1 << 20;
+
+/// How a frame attempt reacts to the node limit at a detection-term site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The arena was collected when the attempt began. A term that hits the
+    /// limit is retried after a GC and skipped if it still does not fit;
+    /// the skip is counted in `degraded_terms`.
+    Collected,
+    /// The arena may have held garbage when the attempt began. Any limit
+    /// hit aborts the attempt, because a collected attempt might fit where
+    /// this one does not; the caller then collects and reruns the frame.
+    Uncollected,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test override of the collect-first predictor: `Some(true)` collects
+    /// before every frame that may hold garbage, `Some(false)` never does.
+    static FORCE_COLLECT_FIRST: std::cell::Cell<Option<bool>> =
+        const { std::cell::Cell::new(None) };
 }
 
 /// Per-fault per-frame staging before commit.
@@ -357,10 +385,10 @@ impl<'a> SymbolicFaultSim<'a> {
             records: Vec::new(),
             sparse: Sparse::new(netlist),
             frame: 0,
-            gc_threshold: 1 << 20,
             degraded_terms: 0,
             trace_offset: 0,
             last_frame_events: 0,
+            last_frame_created: 0,
         }
     }
 
@@ -379,9 +407,6 @@ impl<'a> SymbolicFaultSim<'a> {
     /// [`BddError::NodeLimit`].
     pub fn set_node_limit(&mut self, limit: Option<usize>) {
         self.mgr.set_node_limit(limit);
-        if let Some(l) = limit {
-            self.gc_threshold = (l / 2).max(1024);
-        }
     }
 
     /// Runs one sifting pass of dynamic variable reordering on the
@@ -547,26 +572,84 @@ impl<'a> SymbolicFaultSim<'a> {
     /// Applies one input vector to the fault-free machine and all live
     /// faulty machines; returns the newly detected faults.
     ///
+    /// Under a node limit, the frame's outcome is that of one attempt that
+    /// starts from a collected arena; it falls back iff it does not fit
+    /// after a full GC. That attempt never runs twice:
+    ///
+    /// - If the arena holds no garbage ([`BddManager::has_garbage`]), the
+    ///   frame runs once.
+    /// - If the previous frame predicts pressure, the frame collects first
+    ///   and then runs once. It predicts pressure when it allocated at least
+    ///   `limit / 8` nodes. The divisor is measured (EXPERIMENTS, "Node-limit
+    ///   pressure"): collecting before every frame that holds garbage
+    ///   empties the ITE cache so often that small runs far below the limit
+    ///   take up to twice as long, and waiting for `limit / 4` lets more
+    ///   doomed attempts through.
+    /// - Otherwise the frame first runs on the uncollected arena, where any
+    ///   limit hit aborts it, detection terms included; only then does it
+    ///   collect and run again.
+    ///
+    /// The predictor decides speed, never results. An uncollected attempt
+    /// that fits does exactly what the collected attempt would: garbage
+    /// only adds live nodes, and an operation allocates only nodes of its
+    /// result, whatever the ITE cache holds.
+    ///
+    /// In the collected attempt a detection term that hits the limit is
+    /// retried after a GC and skipped if it still does not fit
+    /// ([`degraded_terms`](Self::degraded_terms)). Without a limit the
+    /// frame runs once and collects afterwards if the arena grew past
+    /// 2^20 live nodes.
+    ///
     /// On [`BddError::NodeLimit`] the frame is rolled back: the logical
     /// state (detection functions, machine states) is exactly as before the
-    /// call, so a caller can garbage-collect, raise the limit, or switch to
+    /// call, so a caller can reorder, raise the limit, or switch to
     /// three-valued simulation and retry/resume.
     ///
     /// # Errors
     ///
     /// Fails with [`BddError::NodeLimit`] as described above.
     pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
-        // One self-healing attempt: drop garbage and redo the frame.
-        self.mgr
-            .clone()
-            .retry_after_gc(|| self.step_attempt(inputs))
+        let Some(limit) = self.mgr.node_limit() else {
+            let newly = self.step_attempt(inputs, Attempt::Collected)?;
+            if self.mgr.live_nodes() > UNLIMITED_GC_THRESHOLD {
+                self.mgr.gc();
+            }
+            return Ok(newly);
+        };
+        let created = self.mgr.stats().nodes_created;
+        let result = if !self.mgr.has_garbage() {
+            self.step_attempt(inputs, Attempt::Collected)
+        } else if self.collect_first(limit) {
+            self.mgr.gc();
+            self.step_attempt(inputs, Attempt::Collected)
+        } else {
+            match self.step_attempt(inputs, Attempt::Uncollected) {
+                Err(BddError::NodeLimit { .. }) => {
+                    self.mgr.gc();
+                    self.step_attempt(inputs, Attempt::Collected)
+                }
+                done => done,
+            }
+        };
+        self.last_frame_created = (self.mgr.stats().nodes_created - created) as usize;
+        result
+    }
+
+    /// Whether the previous frame predicts that this one needs the space a
+    /// collection frees (see [`step`](Self::step)).
+    fn collect_first(&self, limit: usize) -> bool {
+        #[cfg(test)]
+        if let Some(forced) = FORCE_COLLECT_FIRST.with(std::cell::Cell::get) {
+            return forced;
+        }
+        self.last_frame_created >= limit / 8
     }
 
     /// Like [`step`](Self::step), additionally reporting a successful frame
     /// to `sink` as one [`TraceEvent::SymFrame`] carrying the manager's
-    /// live/peak node counts, its cumulative ITE-cache counters, the fault
-    /// events propagated (total nets of faulty machines that diverged from
-    /// the fault-free frame) and the faults newly detected. A failed step
+    /// live/peak node counts, its cumulative ITE-cache and GC counters, the
+    /// fault events propagated (total nets of faulty machines that diverged
+    /// from the fault-free frame) and the faults newly detected. A failed step
     /// emits nothing — the caller decides how to report the limit hit (the
     /// hybrid simulator emits [`TraceEvent::NodeLimit`]).
     ///
@@ -587,6 +670,7 @@ impl<'a> SymbolicFaultSim<'a> {
                 peak: stats.peak_live_nodes,
                 hits: stats.cache_hits,
                 misses: stats.cache_misses,
+                gc: stats.gc_runs,
                 events: self.last_frame_events,
                 detected: newly.len(),
             });
@@ -594,7 +678,7 @@ impl<'a> SymbolicFaultSim<'a> {
         Ok(newly)
     }
 
-    fn step_attempt(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
+    fn step_attempt(&mut self, inputs: &[bool], attempt: Attempt) -> Result<Vec<Fault>, BddError> {
         // 1. Fault-free frame.
         let values = eval_frame_bdd(self.netlist, &self.mgr, &self.true_state, inputs)?;
         let next_state: Vec<Bdd> = self
@@ -610,6 +694,7 @@ impl<'a> SymbolicFaultSim<'a> {
             mgr: &self.mgr,
             values: &values,
             rename_map: &self.rename_map,
+            attempt,
             e_terms: vec![None; self.netlist.num_outputs()],
             e_failed: vec![false; self.netlist.num_outputs()],
             e_all: None,
@@ -639,7 +724,7 @@ impl<'a> SymbolicFaultSim<'a> {
                 |kind, pins| eval_gate_bdd(&self.mgr, kind, pins),
             )?;
             let (det, detection) =
-                frame.observe(self.strategy, &faulty, &rec.det, self.frame, &mut skipped);
+                frame.observe(self.strategy, &faulty, &rec.det, self.frame, &mut skipped)?;
             faulty.next_state_diffs(&mut diffs);
             let mut state = next_state.clone();
             for (ff, v) in diffs.drain(..) {
@@ -674,9 +759,6 @@ impl<'a> SymbolicFaultSim<'a> {
         self.true_state = next_state;
         self.frame += 1;
         self.degraded_terms += skipped;
-        if self.mgr.live_nodes() > self.gc_threshold {
-            self.mgr.gc();
-        }
         Ok(newly)
     }
 
@@ -709,6 +791,7 @@ struct FrameCtx<'f> {
     mgr: &'f BddManager,
     values: &'f [Bdd],
     rename_map: &'f [(VarId, VarId)],
+    attempt: Attempt,
     e_terms: Vec<Option<Bdd>>,
     e_failed: Vec<bool>,
     e_all: Option<Bdd>,
@@ -716,10 +799,19 @@ struct FrameCtx<'f> {
 }
 
 impl FrameCtx<'_> {
-    /// `E_j(x,y) = [o_j(x,t) ≡ o_j(y,t)]`, computed once per frame. Under a
-    /// node limit the computation is retried once after a garbage
-    /// collection; a second failure is cached so other faults do not redo
-    /// the doomed work.
+    /// Runs a detection-term operation: in a collected attempt, retried
+    /// once after a GC when it hits the node limit; in an uncollected one,
+    /// as is (the hit aborts the attempt).
+    fn term<T>(&self, mut op: impl FnMut() -> Result<T, BddError>) -> Result<T, BddError> {
+        match self.attempt {
+            Attempt::Collected => self.mgr.retry_after_gc(op),
+            Attempt::Uncollected => op(),
+        }
+    }
+
+    /// `E_j(x,y) = [o_j(x,t) ≡ o_j(y,t)]`, computed once per frame (see
+    /// [`term`](Self::term) for the node limit); a failure is cached so
+    /// other faults do not redo the doomed work.
     fn e_term(&mut self, j: usize) -> Result<Bdd, BddError> {
         if let Some(e) = &self.e_terms[j] {
             return Ok(e.clone());
@@ -730,10 +822,7 @@ impl FrameCtx<'_> {
             });
         }
         let o = &self.values[self.netlist.outputs()[j].index()];
-        match self
-            .mgr
-            .retry_after_gc(|| o.equiv(&o.rename(self.rename_map)?))
-        {
+        match self.term(|| o.equiv(&o.rename(self.rename_map)?)) {
             Ok(e) => {
                 self.e_terms[j] = Some(e.clone());
                 Ok(e)
@@ -757,9 +846,7 @@ impl FrameCtx<'_> {
         }
         let mut acc = self.mgr.one();
         for j in 0..self.netlist.num_outputs() {
-            let r = self
-                .e_term(j)
-                .and_then(|e| self.mgr.retry_after_gc(|| acc.and(&e)));
+            let r = self.e_term(j).and_then(|e| self.term(|| acc.and(&e)));
             match r {
                 Ok(next) => acc = next,
                 Err(err) => {
@@ -775,6 +862,10 @@ impl FrameCtx<'_> {
     /// Applies the observation rule of `strategy` to one fault's frame:
     /// multiplies this frame's terms into the fault's detection function
     /// `det` and reports the detection if it fires at frame `frame_no`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`BddError::NodeLimit`] only in an uncollected attempt.
     fn observe(
         &mut self,
         strategy: Strategy,
@@ -782,8 +873,8 @@ impl FrameCtx<'_> {
         det: &Bdd,
         frame_no: usize,
         skipped: &mut usize,
-    ) -> (Bdd, Option<Detection>) {
-        let (values, mgr, outputs) = (self.values, self.mgr, self.netlist.outputs());
+    ) -> Result<(Bdd, Option<Detection>), BddError> {
+        let (values, outputs) = (self.values, self.netlist.outputs());
         let at = |output| {
             Some(Detection {
                 frame: frame_no,
@@ -797,7 +888,7 @@ impl FrameCtx<'_> {
                     let (ov, fv) = (&values[o.index()], faulty.value(o));
                     fv != ov && ov.is_const() && fv.is_const()
                 });
-                (det, hit.and_then(at))
+                Ok((det, hit.and_then(at)))
             }
             Strategy::Rmot => {
                 for (j, &o) in outputs.iter().enumerate() {
@@ -805,53 +896,59 @@ impl FrameCtx<'_> {
                     if fv == ov || !ov.is_const() {
                         continue; // term is 1 or not admissible for rMOT
                     }
-                    let term = mgr.retry_after_gc(|| ov.equiv(fv));
-                    det = and_term_or_skip(mgr, &det, term, skipped);
+                    let term = self.term(|| ov.equiv(fv));
+                    det = self.and_term_or_skip(&det, term, skipped)?;
                     if det.is_false() {
-                        return (det, at(j));
+                        return Ok((det, at(j)));
                     }
                 }
-                (det, None)
+                Ok((det, None))
             }
             // No output changed: the whole-frame factor.
             Strategy::Mot if !outputs.iter().any(|&o| faulty.diverged(o)) => {
-                let det = and_term_or_skip(mgr, &det, self.e_all(), skipped);
+                let e_all = self.e_all();
+                let det = self.and_term_or_skip(&det, e_all, skipped)?;
                 let hit = if det.is_false() { at(0) } else { None };
-                (det, hit)
+                Ok((det, hit))
             }
             Strategy::Mot => {
                 for (j, &o) in outputs.iter().enumerate() {
                     let term = if faulty.diverged(o) {
                         let fy = || faulty.value(o).rename(self.rename_map);
-                        mgr.retry_after_gc(|| values[o.index()].equiv(&fy()?))
+                        self.term(|| values[o.index()].equiv(&fy()?))
                     } else {
                         self.e_term(j)
                     };
-                    det = and_term_or_skip(mgr, &det, term, skipped);
+                    det = self.and_term_or_skip(&det, term, skipped)?;
                     if det.is_false() {
-                        return (det, at(j));
+                        return Ok((det, at(j)));
                     }
                 }
-                (det, None)
+                Ok((det, None))
             }
         }
     }
-}
 
-/// Multiplies `term` into `det`; on node-limit pressure retries after a GC
-/// and, if that still fails, *skips* the term (sound: the product only gets
-/// larger, so detections stay a lower bound) and counts it in `skipped`.
-fn and_term_or_skip(
-    mgr: &BddManager,
-    det: &Bdd,
-    term: Result<Bdd, BddError>,
-    skipped: &mut usize,
-) -> Bdd {
-    match term.and_then(|term| mgr.retry_after_gc(|| det.and(&term))) {
-        Ok(r) => r,
-        Err(_) => {
-            *skipped += 1;
-            det.clone()
+    /// Multiplies `term` into `det` (see [`term`](Self::term) for the node
+    /// limit). If the term still does not fit in a collected attempt, it is
+    /// *skipped* (sound: the product only gets larger, so detections stay a
+    /// lower bound) and counted in `skipped`.
+    ///
+    /// # Errors
+    ///
+    /// In an uncollected attempt, a node-limit hit aborts the attempt.
+    fn and_term_or_skip(
+        &self,
+        det: &Bdd,
+        term: Result<Bdd, BddError>,
+        skipped: &mut usize,
+    ) -> Result<Bdd, BddError> {
+        match term.and_then(|term| self.term(|| det.and(&term))) {
+            Err(_) if self.attempt == Attempt::Collected => {
+                *skipped += 1;
+                Ok(det.clone())
+            }
+            done => done,
         }
     }
 }
@@ -862,6 +959,7 @@ mod tests {
     use crate::exhaustive::{verdict_from, ResponseMatrix};
     use crate::faults::FaultList;
     use motsim_netlist::Lead;
+    use motsim_rng::SmallRng;
 
     /// Cross-engine oracle: the symbolic verdicts must match exhaustive
     /// enumeration for every collapsed fault.
@@ -1097,6 +1195,147 @@ mod tests {
             sim.step(v).unwrap();
         }
         assert_eq!(sim.frames(), seq.len());
+    }
+
+    /// Strips the fields of an event that count BDD work (node counts,
+    /// cache and GC counters): what is left is the run's logical course.
+    fn logical(event: &TraceEvent) -> TraceEvent {
+        match *event {
+            TraceEvent::SymFrame {
+                frame,
+                events,
+                detected,
+                ..
+            } => TraceEvent::SymFrame {
+                frame,
+                live: 0,
+                peak: 0,
+                hits: 0,
+                misses: 0,
+                gc: 0,
+                events,
+                detected,
+            },
+            ref other => other.clone(),
+        }
+    }
+
+    /// The collect-first predictor decides speed, never results: forcing it
+    /// to always or never collect before a frame leaves every hybrid
+    /// outcome (apart from its BDD counters) and every trace event (apart
+    /// from its BDD fields) as the automatic predictor has them. The faults
+    /// are the three-valued-undetected ones, 16 of them or all; on g208 at
+    /// 1,500 nodes, an uncollected attempt that a mid-frame GC rescued
+    /// would move MOT's fallback points.
+    #[test]
+    fn collect_first_predictor_never_changes_results() {
+        use crate::hybrid::{run_traced, HybridConfig};
+        use motsim_trace::CollectSink;
+
+        fn run(
+            n: &Netlist,
+            strategy: Strategy,
+            seq: &TestSequence,
+            faults: &[Fault],
+            node_limit: usize,
+            forced: Option<bool>,
+        ) -> (SimOutcome, Vec<TraceEvent>) {
+            FORCE_COLLECT_FIRST.with(|f| f.set(forced));
+            let config = HybridConfig {
+                node_limit,
+                ..Default::default()
+            };
+            let mut sink = CollectSink::new();
+            let mut outcome =
+                run_traced(n, strategy, seq, faults.iter().copied(), config, &mut sink);
+            FORCE_COLLECT_FIRST.with(|f| f.set(None));
+            outcome.bdd = BddUsage::default();
+            (outcome, sink.events().iter().map(logical).collect())
+        }
+        let mut limit_hits = 0;
+        let runs = [
+            ("g208", 2_000, 16),
+            ("g298", 30_000, 16),
+            ("g526", 30_000, 16),
+            ("g208", 1_500, usize::MAX),
+        ];
+        for (name, limit, count) in runs {
+            let n = motsim_circuits::suite::by_name(name).unwrap();
+            let seq = TestSequence::random(&n, 30, 0xDAC95);
+            let all = FaultList::collapsed(&n);
+            let three = crate::sim3::FaultSim3::run(&n, &seq, all.iter().cloned());
+            let faults: Vec<Fault> = three.undetected_faults().take(count).collect();
+            for strategy in Strategy::ALL {
+                let auto = run(&n, strategy, &seq, &faults, limit, None);
+                for forced in [true, false] {
+                    let other = run(&n, strategy, &seq, &faults, limit, Some(forced));
+                    let label = format!("{name} {strategy}, collect-first forced {forced}");
+                    assert_eq!(auto.0, other.0, "{label}: outcome differs");
+                    assert_eq!(auto.1, other.1, "{label}: trace differs");
+                }
+                limit_hits += auto
+                    .1
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::NodeLimit { .. }))
+                    .count();
+            }
+        }
+        assert!(limit_hits > 0, "the runs must put the limit under pressure");
+    }
+
+    /// Under a node limit a frame's outcome is that of an attempt from a
+    /// collected arena, so the garbage left before it never changes that
+    /// outcome: a run whose arena is littered with dead nodes before every
+    /// frame detects, degrades terms and hits the limit exactly where an
+    /// unlittered run does.
+    #[test]
+    fn garbage_before_a_frame_never_changes_its_outcome() {
+        /// Allocates about `nodes` nodes of random functions over the
+        /// manager's variables and drops them all.
+        fn litter(sim: &SymbolicFaultSim, rng: &mut SmallRng, nodes: u64) {
+            let mgr = sim.manager();
+            let mut pool: Vec<Bdd> = (0..mgr.num_vars())
+                .map(|v| mgr.var(VarId::from_index(v)))
+                .collect();
+            let start = mgr.stats().nodes_created;
+            while mgr.stats().nodes_created - start < nodes {
+                let [f, g, h] = [(); 3].map(|()| &pool[rng.gen_range(0..pool.len())]);
+                match f.ite(g, h) {
+                    Ok(r) => pool.push(r),
+                    Err(_) => return,
+                }
+            }
+        }
+        let n = motsim_circuits::suite::by_name("g208").unwrap();
+        let seq = TestSequence::random(&n, 30, 0xDAC95);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let (mut frames_ok, mut limit_hits) = (0, 0);
+        for strategy in Strategy::ALL {
+            let mut clean = SymbolicFaultSim::new(&n, strategy);
+            let mut dirty = SymbolicFaultSim::new(&n, strategy);
+            for sim in [&mut clean, &mut dirty] {
+                sim.set_node_limit(Some(1_200));
+                for &f in FaultList::collapsed(&n).iter() {
+                    sim.add_fault(f);
+                }
+            }
+            for t in 0..seq.len() {
+                litter(&dirty, &mut rng, 1_000);
+                let expected = clean.step(seq.vector(t));
+                assert_eq!(dirty.step(seq.vector(t)), expected, "{strategy}, frame {t}");
+                frames_ok += usize::from(expected.is_ok());
+                limit_hits += usize::from(expected.is_err());
+            }
+            assert_eq!(clean.degraded_terms(), dirty.degraded_terms(), "{strategy}");
+            let (mut expected, mut got) = (clean.outcome(), dirty.outcome());
+            expected.bdd = BddUsage::default();
+            got.bdd = BddUsage::default();
+            assert_eq!(got, expected, "{strategy}");
+        }
+        assert!(
+            frames_ok > 0 && limit_hits > 0,
+            "{frames_ok} ok, {limit_hits} hit(s)"
+        );
     }
 
     #[test]

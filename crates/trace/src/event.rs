@@ -34,10 +34,15 @@ pub enum TraceEvent {
         live: usize,
         /// Peak live nodes so far (the quantity the 30,000 limit bounds).
         peak: usize,
-        /// ITE computed-cache hits in this frame.
+        /// ITE computed-cache hits so far: cumulative over the manager
+        /// that simulated the frame (one per symbolic phase and unit).
         hits: u64,
-        /// ITE computed-cache misses in this frame.
+        /// ITE computed-cache misses so far, cumulative like `hits`.
         misses: u64,
+        /// Garbage collections so far, cumulative like `hits`. Growth since
+        /// the phase's previous `sym_frame` means the manager collected for
+        /// this frame, or in a sifting pass just before it.
+        gc: u64,
         /// Fault events propagated: divergent nets across all live faulty
         /// machines in this frame.
         events: usize,
@@ -171,6 +176,7 @@ impl TraceEvent {
                 peak,
                 hits,
                 misses,
+                gc,
                 events,
                 detected,
             } => {
@@ -179,6 +185,7 @@ impl TraceEvent {
                 num(&mut s, "peak", peak as u64);
                 num(&mut s, "hits", hits);
                 num(&mut s, "misses", misses);
+                num(&mut s, "gc", gc);
                 num(&mut s, "events", events as u64);
                 num(&mut s, "detected", detected as u64);
             }
@@ -269,6 +276,7 @@ impl TraceEvent {
                 peak: us("peak")?,
                 hits: num("hits")?,
                 misses: num("misses")?,
+                gc: num("gc")?,
                 events: us("events")?,
                 detected: us("detected")?,
             },

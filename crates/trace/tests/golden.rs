@@ -25,10 +25,11 @@ fn goldens() -> Vec<(TraceEvent, &'static str)> {
                 peak: 8901,
                 hits: 123,
                 misses: 45,
+                gc: 3,
                 events: 678,
                 detected: 2,
             },
-            r#"{"ev":"sym_frame","frame":12,"live":3456,"peak":8901,"hits":123,"misses":45,"events":678,"detected":2}"#,
+            r#"{"ev":"sym_frame","frame":12,"live":3456,"peak":8901,"hits":123,"misses":45,"gc":3,"events":678,"detected":2}"#,
         ),
         (
             TraceEvent::TvFrame {

@@ -59,6 +59,11 @@ fn jobs_invariance() {
 }
 
 #[test]
+fn units_invariance() {
+    run_law("units-invariance");
+}
+
+#[test]
 fn reorder_invariance() {
     run_law("reorder-invariance");
 }

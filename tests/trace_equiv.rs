@@ -201,6 +201,7 @@ fn sym_frames(events: &[TraceEvent]) -> Vec<SymRow> {
                 misses,
                 events,
                 detected,
+                ..
             } => Some((frame, live, peak, hits, misses, events, detected)),
             _ => None,
         })
@@ -235,8 +236,8 @@ const S27_MOT: [SymRow; 20] = [
 /// (seed 3): frames 3–10 fall back to three-valued simulation.
 const G208_HYBRID_2000: [SymRow; 32] = [
     (0, 373, 373, 193, 312, 687, 0),
-    (1, 1012, 1578, 1039, 1796, 1179, 1),
-    (2, 1202, 1830, 2011, 3829, 1096, 0),
+    (1, 1508, 1508, 1012, 1866, 1179, 1),
+    (2, 1830, 1830, 1992, 3880, 1096, 0),
     (11, 111, 111, 17, 83, 306, 0),
     (12, 183, 183, 66, 156, 337, 0),
     (13, 185, 185, 128, 188, 444, 0),
