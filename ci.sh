@@ -130,6 +130,19 @@ diff <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j1.txt") \
   <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j2.txt")
 grep -q "Σ detected: SOT 279  rMOT 304  MOT 292" "$TRACE_DIR/table2_j1.txt"
 
+echo "==> smoke: deterministic sequences (table3 --jobs 1 vs 2)"
+# Table III runs the hybrid SOT/rMOT/MOT simulators on the `tgen` sequences.
+# Its counts must not depend on --jobs (the last three columns are times and
+# are stripped), and the g526 row is pinned.
+table3_smoke() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    tables table3 --quick --jobs "$1" | sed -E 's/( +[^ ]+){3}$//'
+}
+table3_smoke 1 >"$TRACE_DIR/table3_j1.txt"
+table3_smoke 2 >"$TRACE_DIR/table3_j2.txt"
+diff "$TRACE_DIR/table3_j1.txt" "$TRACE_DIR/table3_j2.txt"
+grep -qE '^ +g526 +23 +569 +565 \| +\*29 +\*44 +\*0 \|$' "$TRACE_DIR/table3_j1.txt"
+
 echo "==> smoke: test evaluation (g5378 testeval, Table IV)"
 # The default g5378 sequence pins its symbolic output sequence's size and
 # prefix, and where a one-bit corruption collapses the product. Table IV

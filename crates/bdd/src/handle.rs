@@ -95,17 +95,6 @@ impl Bdd {
         Ok(self.mgr.wrap(r))
     }
 
-    /// Implication self → other.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn implies(&self, other: &Bdd) -> Result<Bdd, BddError> {
-        self.check_same(other);
-        let r = self.mgr.inner.borrow_mut().implies(self.root, other.root)?;
-        Ok(self.mgr.wrap(r))
-    }
-
     /// If-then-else: self ? then : otherwise.
     ///
     /// # Errors
@@ -155,31 +144,6 @@ impl Bdd {
             .map(|(v, _, _)| VarId(v))
     }
 
-    /// Cofactor with respect to `v = val`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn restrict(&self, v: VarId, val: bool) -> Result<Bdd, BddError> {
-        let r = self.mgr.inner.borrow_mut().restrict(self.root, v.0, val)?;
-        Ok(self.mgr.wrap(r))
-    }
-
-    /// Substitutes function `g` for variable `v`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn compose(&self, v: VarId, g: &Bdd) -> Result<Bdd, BddError> {
-        self.check_same(g);
-        let r = self
-            .mgr
-            .inner
-            .borrow_mut()
-            .compose(self.root, v.0, g.root)?;
-        Ok(self.mgr.wrap(r))
-    }
-
     /// Renames variables according to `map` (pairs `(from, to)`).
     ///
     /// The map, extended with the identity outside its domain, must be
@@ -201,26 +165,6 @@ impl Bdd {
     pub fn rename(&self, map: &[(VarId, VarId)]) -> Result<Bdd, BddError> {
         let r = self.mgr.inner.borrow_mut().rename(self.root, map)?;
         Ok(self.mgr.wrap(r))
-    }
-
-    /// Existential quantification ∃ vars. self.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn exists(&self, vars: &[VarId]) -> Result<Bdd, BddError> {
-        let vs: Vec<u32> = vars.iter().map(|v| v.0).collect();
-        let r = self.mgr.inner.borrow_mut().exists(self.root, &vs)?;
-        Ok(self.mgr.wrap(r))
-    }
-
-    /// Universal quantification ∀ vars. self.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn forall(&self, vars: &[VarId]) -> Result<Bdd, BddError> {
-        Ok(self.not().exists(vars)?.not())
     }
 
     /// The set of variables this function depends on, sorted by their
@@ -371,8 +315,6 @@ mod tests {
         assert_eq!(lhs, rhs);
         // xor/equiv duality
         assert_eq!(x.xor(&y).unwrap().not(), x.equiv(&y).unwrap());
-        // implies
-        assert_eq!(x.implies(&y).unwrap(), x.not().or(&y).unwrap());
     }
 
     #[test]
@@ -387,31 +329,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn restrict_and_compose() {
-        let (_, x, y, z) = setup3();
-        let f = x.and(&y).unwrap().or(&z).unwrap();
-        let f1 = f.restrict(VarId(0), true).unwrap(); // y ∨ z
-        assert_eq!(f1, y.or(&z).unwrap());
-        let f0 = f.restrict(VarId(0), false).unwrap(); // z
-        assert_eq!(f0, z);
-        // compose x := y∨z into f = x∧y ∨ z
-        let g = y.or(&z).unwrap();
-        let comp = f.compose(VarId(0), &g).unwrap();
-        let expect = g.and(&y).unwrap().or(&z).unwrap();
-        assert_eq!(comp, expect);
-    }
-
-    #[test]
-    fn compose_with_lower_ordered_function() {
-        // Substitute for z (last var) a function of x (first var): the
-        // rebuild-with-ite path must handle images above the node's level.
-        let (_, x, y, z) = setup3();
-        let f = y.and(&z).unwrap();
-        let comp = f.compose(VarId(2), &x).unwrap();
-        assert_eq!(comp, y.and(&x).unwrap());
     }
 
     #[test]
@@ -440,19 +357,6 @@ mod tests {
         let f = x0.and(&x1).unwrap();
         // Swapping is not monotone.
         let _ = f.rename(&[(VarId(0), VarId(1)), (VarId(1), VarId(0))]);
-    }
-
-    #[test]
-    fn quantification() {
-        let (m, x, y, _) = setup3();
-        let f = x.and(&y).unwrap();
-        assert_eq!(f.exists(&[VarId(0)]).unwrap(), y);
-        assert_eq!(f.forall(&[VarId(0)]).unwrap(), m.zero());
-        let g = x.or(&y).unwrap();
-        assert_eq!(g.forall(&[VarId(0)]).unwrap(), y);
-        assert_eq!(g.exists(&[VarId(0), VarId(1)]).unwrap(), m.one());
-        // Quantifying a var not in the support is identity.
-        assert_eq!(f.exists(&[VarId(2)]).unwrap(), f);
     }
 
     #[test]

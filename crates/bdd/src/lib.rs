@@ -18,17 +18,15 @@
 //! - reference-counted external handles ([`Bdd`]) + mark-sweep [garbage
 //!   collection](BddManager::gc); the refcounts live in an array parallel
 //!   to the node arena, and GC takes its roots from a scan of it,
-//! - hash-free traversals: the memos of restrict, compose, rename, exists
-//!   and satisfy-count, and the visited sets of support, size and the GC
-//!   mark phase, are epoch-stamped arrays indexed by arena position and
-//!   reused across calls,
+//! - hash-free traversals: the memos of rename and satisfy-count, and the
+//!   visited sets of support, size and the GC mark phase, are epoch-stamped
+//!   arrays indexed by arena position and reused across calls,
 //! - a configurable **live-node limit** ([`BddManager::set_node_limit`]) —
 //!   the mechanism behind the paper's hybrid fault simulator (operations
 //!   return [`BddError::NodeLimit`] when the limit would be exceeded),
 //! - [monotone variable renaming](Bdd::rename) (a single linear traversal;
 //!   used for the MOT substitution `x_i → y_i` under an interleaved order),
-//! - [compose](Bdd::compose), [quantification](Bdd::exists), restriction,
-//!   evaluation, satisfy-count, DOT export,
+//! - evaluation, satisfy-count, a satisfying assignment, DOT export,
 //! - **dynamic variable reordering by sifting** ([`BddManager::sift`]):
 //!   in-place Rudell-style adjacent-level swaps that preserve every
 //!   outstanding handle and the complement-edge canonical form, with
@@ -67,10 +65,8 @@ mod dot;
 mod error;
 mod handle;
 mod manager;
-mod sat;
 
 pub use dot::to_dot;
 pub use error::BddError;
 pub use handle::Bdd;
 pub use manager::{BddManager, BddStats, VarId};
-pub use sat::{equiv_product, product};

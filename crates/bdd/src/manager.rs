@@ -298,8 +298,7 @@ pub(crate) struct Inner {
     /// Visited set of `support`, `size` and the GC mark phase, keyed by
     /// node index.
     seen: Memo<()>,
-    /// Results of `restrict`, `compose` and `rename` (keyed by node index)
-    /// and of `exists` (keyed by edge).
+    /// Results of `rename`, keyed by node index.
     memo: Memo<u32>,
     /// Model counts of `sat_count`, keyed by edge.
     counts: Memo<u128>,
@@ -617,94 +616,6 @@ impl Inner {
         self.ite(f, g, g ^ 1)
     }
 
-    pub(crate) fn implies(&mut self, f: u32, g: u32) -> Result<u32, BddError> {
-        self.ite(f, g, TRUE)
-    }
-
-    /// Runs one memoized traversal. The recursion needs `&mut self` next to
-    /// the memo, so the memo is taken out of `self` for its duration.
-    fn with_memo<R>(&mut self, op: impl FnOnce(&mut Self, &mut Memo<u32>) -> R) -> R {
-        let mut memo = std::mem::take(&mut self.memo);
-        memo.begin();
-        let r = op(self, &mut memo);
-        self.memo = memo;
-        r
-    }
-
-    pub(crate) fn restrict(&mut self, f: u32, var: u32, val: bool) -> Result<u32, BddError> {
-        self.with_memo(|inner, memo| inner.restrict_rec(f, var, val, memo))
-    }
-
-    // restrict/compose/rename commute with complement, so their recursions
-    // strip the complement bit, memoize on the node index, and re-apply the
-    // bit on the way out, sharing work between a function and its negation.
-    fn restrict_rec(
-        &mut self,
-        f: u32,
-        var: u32,
-        val: bool,
-        memo: &mut Memo<u32>,
-    ) -> Result<u32, BddError> {
-        let c = f & 1;
-        let n = f ^ c;
-        let lvl = self.level(n);
-        if lvl > self.var_level(var) {
-            return Ok(f); // var cannot occur below (ordered)
-        }
-        if let Some(r) = memo.get(index_of(n)) {
-            return Ok(r ^ c);
-        }
-        let node = self.nodes[index_of(n)];
-        let r = if node.var == var {
-            if val {
-                node.high
-            } else {
-                node.low
-            }
-        } else {
-            let lo = self.restrict_rec(node.low, var, val, memo)?;
-            let hi = self.restrict_rec(node.high, var, val, memo)?;
-            self.make_node(node.var, lo, hi)?
-        };
-        memo.insert(index_of(n), r);
-        Ok(r ^ c)
-    }
-
-    pub(crate) fn compose(&mut self, f: u32, var: u32, g: u32) -> Result<u32, BddError> {
-        self.with_memo(|inner, memo| inner.compose_rec(f, var, g, memo))
-    }
-
-    fn compose_rec(
-        &mut self,
-        f: u32,
-        var: u32,
-        g: u32,
-        memo: &mut Memo<u32>,
-    ) -> Result<u32, BddError> {
-        let c = f & 1;
-        let n = f ^ c;
-        let lvl = self.level(n);
-        if lvl > self.var_level(var) {
-            return Ok(f);
-        }
-        if let Some(r) = memo.get(index_of(n)) {
-            return Ok(r ^ c);
-        }
-        let node = self.nodes[index_of(n)];
-        let r = if node.var == var {
-            self.ite(g, node.high, node.low)?
-        } else {
-            let lo = self.compose_rec(node.low, var, g, memo)?;
-            let hi = self.compose_rec(node.high, var, g, memo)?;
-            // The composed children may depend on variables above node.var,
-            // so rebuild with ITE on the literal rather than make_node.
-            let lit = self.var_lit(node.var, true);
-            self.ite(lit, hi, lo)?
-        };
-        memo.insert(index_of(n), r);
-        Ok(r ^ c)
-    }
-
     /// Renames variables according to `map` (pairs `(from, to)`, the
     /// identity elsewhere) in a single linear traversal.
     ///
@@ -728,9 +639,18 @@ impl Inner {
                 "rename map is not strictly order-preserving on the support"
             );
         }
-        self.with_memo(|inner, memo| inner.rename_rec(f, &table, memo))
+        // The recursion needs `&mut self` next to the memo, so the memo is
+        // taken out of `self` for its duration.
+        let mut memo = std::mem::take(&mut self.memo);
+        memo.begin();
+        let r = self.rename_rec(f, &table, &mut memo);
+        self.memo = memo;
+        r
     }
 
+    // Renaming commutes with complement, so the recursion strips the
+    // complement bit, memoizes on the node index, and re-applies the bit on
+    // the way out, sharing work between a function and its negation.
     fn rename_rec(&mut self, f: u32, map: &[u32], memo: &mut Memo<u32>) -> Result<u32, BddError> {
         let c = f & 1;
         let n = f ^ c;
@@ -747,50 +667,6 @@ impl Inner {
         let r = self.make_node(var, lo, hi)?;
         memo.insert(index_of(n), r);
         Ok(r ^ c)
-    }
-
-    pub(crate) fn exists(&mut self, f: u32, vars: &[u32]) -> Result<u32, BddError> {
-        let mut sorted: Vec<u32> = vars.to_vec();
-        // The recursion peels quantified variables off top-down, so they are
-        // sorted by *level* (current order position), not by id.
-        sorted.sort_unstable_by_key(|&v| self.var_level(v));
-        sorted.dedup();
-        self.with_memo(|inner, memo| inner.exists_rec(f, &sorted, memo))
-    }
-
-    // Quantification does NOT commute with complement (∃x.¬f ≠ ¬∃x.f), so
-    // this recursion memoizes on the full edge, complement bit included.
-    fn exists_rec(&mut self, f: u32, vars: &[u32], memo: &mut Memo<u32>) -> Result<u32, BddError> {
-        if index_of(f) == 0 {
-            return Ok(f);
-        }
-        let lvl = self.level(f);
-        // Drop quantified vars above the current level; if none remain at or
-        // below, f is unchanged.
-        let rest: &[u32] = {
-            let start = vars.partition_point(|&v| self.var_level(v) < lvl);
-            &vars[start..]
-        };
-        if rest.is_empty() {
-            return Ok(f);
-        }
-        if let Some(r) = memo.get(f as usize) {
-            return Ok(r);
-        }
-        let c = f & 1;
-        let node = self.nodes[index_of(f)];
-        let (low, high) = (node.low ^ c, node.high ^ c);
-        let r = if self.var_level(rest[0]) == lvl {
-            let lo = self.exists_rec(low, rest, memo)?;
-            let hi = self.exists_rec(high, rest, memo)?;
-            self.or(lo, hi)?
-        } else {
-            let lo = self.exists_rec(low, rest, memo)?;
-            let hi = self.exists_rec(high, rest, memo)?;
-            self.make_node(node.var, lo, hi)?
-        };
-        memo.insert(f as usize, r);
-        Ok(r)
     }
 
     /// Marks in `seen`, under a fresh epoch, every internal node reachable

@@ -4,9 +4,13 @@
 //! truth-table model. After every collection the manager must hold exactly
 //! the nodes its live handles reach, every handle must still denote its
 //! shadow, and the arena must stay canonical. Collections free slots that
-//! later operations reuse, so the memoized traversals (`rename`, `exists`,
+//! later operations reuse, so the memoized traversals (`rename` and
 //! `sat_count`) are then checked against a fresh manager: a memo entry left
 //! over from an earlier call on a reused slot would show up as a mismatch.
+//!
+//! The manager holds `2 * NVARS` variables. The pool's functions live on
+//! the lower half; `rename` moves them to the upper half and back, which is
+//! order-preserving on any support.
 
 use motsim_bdd::{Bdd, BddManager, VarId};
 use motsim_rng::SmallRng;
@@ -23,29 +27,22 @@ fn var_mask(v: usize) -> Tt {
         .fold(0, |m, a| m | 1 << a)
 }
 
-fn exists_tt(tt: Tt, v: usize) -> Tt {
-    let (hi, lo, s) = (tt & var_mask(v), tt & !var_mask(v), 1 << v);
-    lo | lo << s | hi | hi >> s
-}
-
-/// `tt` with every even variable `2i` renamed to `2i + 1`; `tt` must not
-/// depend on the odd variables.
-fn rename_even_to_odd_tt(tt: Tt) -> Tt {
+/// Truth table of `f` over the `NVARS` variables starting at `base`, the
+/// others held at 0.
+fn truth_table_at(f: &Bdd, base: usize) -> Tt {
     (0..1u64 << NVARS)
         .filter(|&a| {
-            let src = (0..NVARS / 2).fold(0, |b, i| b | (a >> (2 * i + 1) & 1) << (2 * i));
-            tt >> src & 1 == 1
+            let mut asg = vec![false; 2 * NVARS];
+            for v in 0..NVARS {
+                asg[base + v] = a >> v & 1 == 1;
+            }
+            f.eval(&asg)
         })
         .fold(0, |m, a| m | 1 << a)
 }
 
 fn truth_table(f: &Bdd) -> Tt {
-    (0..1u64 << NVARS)
-        .filter(|&a| {
-            let asg: Vec<bool> = (0..NVARS).map(|v| a >> v & 1 == 1).collect();
-            f.eval(&asg)
-        })
-        .fold(0, |m, a| m | 1 << a)
+    truth_table_at(f, 0)
 }
 
 /// Builds `tt` in `m` by Shannon expansion, variable `v` upwards.
@@ -64,41 +61,31 @@ fn from_tt(m: &BddManager, tt: Tt, v: usize) -> Bdd {
         .unwrap()
 }
 
-/// The odd variables, quantified away before an even-to-odd rename.
-fn odd_vars() -> Vec<VarId> {
-    (1..NVARS).step_by(2).map(VarId::from_index).collect()
-}
-
-fn even_to_odd() -> Vec<(VarId, VarId)> {
+/// Variable `v` to `v + NVARS` (`up`) or back (`!up`).
+fn shift(up: bool) -> Vec<(VarId, VarId)> {
     (0..NVARS)
-        .step_by(2)
-        .map(|v| (VarId::from_index(v), VarId::from_index(v + 1)))
+        .map(|v| (VarId::from_index(v), VarId::from_index(v + NVARS)))
+        .map(|(lo, hi)| if up { (lo, hi) } else { (hi, lo) })
         .collect()
 }
 
-/// `rename`, `exists` and `sat_count` of `f` agree with the same
-/// operations on a copy of `f` built in a fresh manager.
+/// `rename` and `sat_count` of `f` agree with the shadow `tt` and with the
+/// same operations on a copy of `f` built in a fresh manager.
 fn check_traversals(f: &Bdd, tt: Tt) {
-    let odd = odd_vars();
-    let even_only = f.exists(&odd).unwrap();
-    let renamed = even_only.rename(&even_to_odd()).unwrap();
-    let shadow = odd.iter().fold(tt, |t, v| exists_tt(t, v.index()));
-    assert_eq!(truth_table(&even_only), shadow);
-    assert_eq!(truth_table(&renamed), rename_even_to_odd_tt(shadow));
+    let upper = f.rename(&shift(true)).unwrap();
+    assert_eq!(truth_table_at(&upper, NVARS), tt);
+    assert_eq!(upper.rename(&shift(false)).unwrap(), *f);
 
-    let fresh = BddManager::with_vars(NVARS);
+    let fresh = BddManager::with_vars(2 * NVARS);
     let g = from_tt(&fresh, tt, 0);
-    let g_even = g.exists(&odd).unwrap();
-    assert_eq!(truth_table(&g_even), truth_table(&even_only));
-    assert_eq!(
-        truth_table(&g_even.rename(&even_to_odd()).unwrap()),
-        truth_table(&renamed)
-    );
+    let g_upper = g.rename(&shift(true)).unwrap();
+    assert_eq!(truth_table_at(&g_upper, NVARS), tt);
     assert_eq!(f.sat_count(NVARS), g.sat_count(NVARS));
     assert_eq!(f.sat_count(NVARS), u128::from(tt.count_ones()));
+    assert_eq!(upper.sat_count(2 * NVARS), g_upper.sat_count(2 * NVARS));
     assert_eq!(
-        renamed.sat_count(NVARS),
-        g_even.rename(&even_to_odd()).unwrap().sat_count(NVARS)
+        upper.sat_count(2 * NVARS),
+        u128::from(tt.count_ones()) << NVARS
     );
 }
 
@@ -115,7 +102,7 @@ fn check_after_gc(m: &BddManager, pool: &[(Bdd, Tt)]) {
 
 fn churn(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let m = BddManager::with_vars(NVARS);
+    let m = BddManager::with_vars(2 * NVARS);
     let mut pool: Vec<(Bdd, Tt)> = (0..NVARS)
         .map(|v| (m.var(VarId::from_index(v)), var_mask(v)))
         .collect();
@@ -146,10 +133,11 @@ fn churn(seed: u64) {
                 pool.push((f, tt));
             }
             6 => {
+                // A round trip through the upper half leaves garbage there.
                 let i = pick(&mut rng, &pool);
-                let v = rng.gen_range(0..NVARS);
-                let f = pool[i].0.exists(&[VarId::from_index(v)]).unwrap();
-                pool.push((f, exists_tt(pool[i].1, v)));
+                let upper = pool[i].0.rename(&shift(true)).unwrap();
+                let f = upper.rename(&shift(false)).unwrap();
+                pool.push((f, pool[i].1));
             }
             _ => {
                 let (i, j) = (pick(&mut rng, &pool), pick(&mut rng, &pool));

@@ -234,76 +234,6 @@ fn any_sat_is_a_witness() {
     );
 }
 
-/// Shannon expansion: f = (x ∧ f|x=1) ∨ (¬x ∧ f|x=0) for every variable.
-#[test]
-fn shannon_expansion() {
-    check(
-        "shannon-expansion",
-        |rng| (gen_expr(rng, 5), rng.gen_range(0..NVARS)),
-        |(e, v)| {
-            let mgr = BddManager::with_vars(NVARS);
-            let f = build(&mgr, e);
-            let x = mgr.var(VarId::from_index(*v));
-            let f1 = f.restrict(VarId::from_index(*v), true).unwrap();
-            let f0 = f.restrict(VarId::from_index(*v), false).unwrap();
-            let rebuilt = x.and(&f1).unwrap().or(&x.not().and(&f0).unwrap()).unwrap();
-            ensure(rebuilt == f, || format!("expansion differs at var {v}"))
-        },
-    );
-}
-
-/// compose(v, g) equals substitution at the truth-table level.
-#[test]
-fn compose_is_substitution() {
-    check(
-        "compose-is-substitution",
-        |rng| (gen_expr(rng, 4), gen_expr(rng, 4), rng.gen_range(0..NVARS)),
-        |(e, g, v)| {
-            let mgr = BddManager::with_vars(NVARS);
-            let f = build(&mgr, e);
-            let gb = build(&mgr, g);
-            let composed = f.compose(VarId::from_index(*v), &gb).unwrap();
-            for a in all_assignments() {
-                let mut a2 = a.clone();
-                a2[*v] = eval(g, &a);
-                ensure(composed.eval(&a) == eval(e, &a2), || {
-                    format!("substitution differs at {a:?}")
-                })?;
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Existential quantification equals the OR of both cofactors (and forall
-/// the AND).
-#[test]
-fn exists_is_disjunction_of_cofactors() {
-    check(
-        "exists-is-disjunction-of-cofactors",
-        |rng| (gen_expr(rng, 5), rng.gen_range(0..NVARS)),
-        |(e, v)| {
-            let mgr = BddManager::with_vars(NVARS);
-            let f = build(&mgr, e);
-            let vid = VarId::from_index(*v);
-            let ex = f.exists(&[vid]).unwrap();
-            let or = f
-                .restrict(vid, true)
-                .unwrap()
-                .or(&f.restrict(vid, false).unwrap())
-                .unwrap();
-            ensure(ex == or, || "exists is not the OR of cofactors".into())?;
-            let fa = f.forall(&[vid]).unwrap();
-            let and = f
-                .restrict(vid, true)
-                .unwrap()
-                .and(&f.restrict(vid, false).unwrap())
-                .unwrap();
-            ensure(fa == and, || "forall is not the AND of cofactors".into())
-        },
-    );
-}
-
 /// A monotone rename (shift into a fresh block) preserves semantics modulo
 /// reindexing.
 #[test]

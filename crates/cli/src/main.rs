@@ -6,12 +6,10 @@
 //! motsim sim3       <circuit> [--len N] [--seed S] [--no-xred] [--jobs N]
 //! motsim strategies <circuit> [--len N] [--seed S] [--limit NODES] [--jobs N]
 //! motsim xred       <circuit> [--len N] [--seed S] [--static] [--jobs N]
-//! motsim tgen       <circuit> [--max-len N] [--seed S] [--compact]
+//! motsim tgen       <circuit> [--max-len N] [--seed S]
 //! motsim synch      <circuit> [--max-len N] [--seed S]
 //! motsim testeval   <circuit> [--len N] [--seed S] [--limit NODES]
-//! motsim diagnose   <circuit> [--len N] [--seed S] [--inject K]
 //! motsim dot        <circuit> [--len N] [--seed S] [--output J]
-//! motsim vcd        <circuit> [--len N] [--seed S] [--inject K] [--all-nets]
 //! motsim scoap      <circuit>
 //! motsim list
 //! motsim trace-check <file.jsonl>
@@ -23,12 +21,10 @@
 //! `motsim list`) or a path to an ISCAS-89 `.bench` file. Every number may
 //! be given in decimal or as `0x` hexadecimal.
 
-use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use motsim::dictionary::FaultDictionary;
 use motsim::faults::FaultList;
 use motsim::hybrid::HybridConfig;
 use motsim::pattern::TestSequence;
@@ -85,9 +81,7 @@ commands:
   tgen        generate a compact fault-oriented test sequence
   synch       search for a synchronizing sequence (symbolic)
   testeval    symbolic test evaluation demo (accept good / reject bad)
-  diagnose    fault-dictionary diagnosis demo
   dot         Graphviz dump of a symbolic output function
-  vcd         Value Change Dump of a (faulty) simulation to stdout
   scoap       SCOAP testability measures (CC0/CC1/CO per net)
   list        list the built-in benchmark suite
   trace-check validate a --trace JSONL file (schema + frame monotonicity)
@@ -108,10 +102,7 @@ commands:
 
 options (numbers in decimal or 0x hexadecimal):
          --len N  --seed S  --limit NODES  --max-len N  --complete
-         --static  --output J  --no-xred  --all-nets  --compact
-         --inject K  (the fault to inject: for diagnose, the K-th detectable
-                    fault, counted from 0; for vcd, the K-th collapsed
-                    fault, counted from 1, and 0 (the default) for none)
+         --static  --output J  --no-xred
          --jobs N  (worker threads for sim3/strategies/xred; the result is
                     identical for every N — see DESIGN.md §8)
          --units N  (fixed work-unit count for sim3/strategies; default 0 =
@@ -142,10 +133,7 @@ struct Opts {
     complete: bool,
     static_mode: bool,
     no_xred: bool,
-    inject: usize,
     output: usize,
-    all_nets: bool,
-    compact: bool,
     jobs: usize,
     units: usize,
     bdd_stats: bool,
@@ -167,10 +155,7 @@ impl Default for Opts {
             complete: false,
             static_mode: false,
             no_xred: false,
-            inject: 0,
             output: 0,
-            all_nets: false,
-            compact: false,
             jobs: 1,
             units: 0,
             bdd_stats: false,
@@ -214,9 +199,13 @@ fn parse_opts(args: &[String]) -> Opts {
                 len_given = true;
             }
             "--seed" => o.seed = num(args, &mut i, "--seed") as u64,
-            "--limit" => o.limit = num(args, &mut i, "--limit"),
+            "--limit" => {
+                o.limit = num(args, &mut i, "--limit");
+                if o.limit == 0 {
+                    die("--limit must be at least 1 node");
+                }
+            }
             "--max-len" => o.max_len = num(args, &mut i, "--max-len"),
-            "--inject" => o.inject = num(args, &mut i, "--inject"),
             "--jobs" => o.jobs = num(args, &mut i, "--jobs").max(1),
             "--units" => o.units = num(args, &mut i, "--units"),
             "--output" => o.output = num(args, &mut i, "--output"),
@@ -226,8 +215,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--complete" => o.complete = true,
             "--static" => o.static_mode = true,
             "--no-xred" => o.no_xred = true,
-            "--all-nets" => o.all_nets = true,
-            "--compact" => o.compact = true,
             "--bdd-stats" => o.bdd_stats = true,
             "--trace" => {
                 i += 1;
@@ -484,9 +471,7 @@ fn main() {
         "tgen" => cmd_tgen(&netlist, &opts),
         "synch" => cmd_synch(&netlist, &opts),
         "testeval" => cmd_testeval(&netlist, &opts),
-        "diagnose" => cmd_diagnose(&netlist, &opts),
         "dot" => cmd_dot(&netlist, &opts),
-        "vcd" => cmd_vcd(&netlist, &opts),
         "scoap" => cmd_scoap(&netlist),
         other => die(&format!("unknown command `{other}`")),
     }
@@ -776,7 +761,7 @@ fn cmd_xred(netlist: &Netlist, opts: &Opts) {
 fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
     let faults = FaultList::collapsed(netlist);
     let t0 = Instant::now();
-    let mut seq = tgen::generate(
+    let seq = tgen::generate(
         netlist,
         faults.iter().cloned(),
         TgenConfig {
@@ -785,17 +770,6 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
             ..TgenConfig::default()
         },
     );
-    if opts.compact && !seq.is_empty() {
-        let flist: Vec<motsim::Fault> = faults.iter().copied().collect();
-        let r = motsim::compact::compact(netlist, &seq, &flist);
-        eprintln!(
-            "compaction removed {} vector(s) ({} -> {})",
-            r.removed,
-            seq.len(),
-            r.sequence.len()
-        );
-        seq = r.sequence;
-    }
     let outcome = FaultSim3::run(netlist, &seq, faults.iter().cloned());
     eprintln!(
         "generated {} vectors detecting {}/{} faults in {:?}",
@@ -896,48 +870,6 @@ fn witness_count(witnesses: u128) -> String {
     }
 }
 
-fn cmd_diagnose(netlist: &Netlist, opts: &Opts) {
-    let faults = FaultList::collapsed(netlist);
-    let seq = TestSequence::random(netlist, opts.len, opts.seed);
-    let t0 = Instant::now();
-    let dict = FaultDictionary::build(netlist, &seq, faults.iter().cloned());
-    println!(
-        "dictionary over {} faults / {} frames built in {:?}",
-        dict.len(),
-        dict.frames(),
-        t0.elapsed()
-    );
-    let classes = dict.equivalence_classes();
-    println!(
-        "{} indistinguishable group(s); largest has {} members",
-        classes.len(),
-        classes.first().map(|c| c.len()).unwrap_or(0)
-    );
-    // Inject the k-th detectable fault and diagnose from its signature.
-    let detectable: Vec<_> = dict.detectable().collect();
-    if detectable.is_empty() {
-        println!("no detectable faults to diagnose");
-        return;
-    }
-    let fault = *detectable
-        .get(opts.inject)
-        .unwrap_or_else(|| die("--inject index out of range"));
-    let observed: BTreeSet<_> = dict.signature(fault).unwrap().clone();
-    let candidates = dict.diagnose(&observed);
-    println!(
-        "injected {}: {} observed failure(s) -> {} candidate(s):",
-        fault.display(netlist),
-        observed.len(),
-        candidates.len()
-    );
-    for c in candidates.iter().take(10) {
-        println!("  {}", c.display(netlist));
-    }
-    if candidates.len() > 10 {
-        println!("  … and {} more", candidates.len() - 10);
-    }
-}
-
 fn cmd_dot(netlist: &Netlist, opts: &Opts) {
     if opts.output >= netlist.num_outputs() {
         die(&format!(
@@ -967,29 +899,6 @@ fn cmd_dot(netlist: &Netlist, opts: &Opts) {
         o.size()
     );
     println!("{dot}");
-}
-
-fn cmd_vcd(netlist: &Netlist, opts: &Opts) {
-    use motsim::vcd::{dump_with_fault, Scope};
-    let seq = TestSequence::random(netlist, opts.len, opts.seed);
-    let scope = if opts.all_nets {
-        Scope::All
-    } else {
-        Scope::Interface
-    };
-    let fault = if opts.inject > 0 {
-        let faults = FaultList::collapsed(netlist);
-        let f = faults
-            .as_slice()
-            .get(opts.inject - 1)
-            .copied()
-            .unwrap_or_else(|| die("--inject index out of range"));
-        eprintln!("injecting fault #{}: {}", opts.inject, f.display(netlist));
-        Some(f)
-    } else {
-        None
-    };
-    print!("{}", dump_with_fault(netlist, &seq, fault, scope));
 }
 
 fn cmd_scoap(netlist: &Netlist) {

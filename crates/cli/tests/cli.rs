@@ -69,15 +69,6 @@ fn tgen_emits_parsable_vectors() {
 }
 
 #[test]
-fn vcd_emits_header() {
-    let out = motsim(&["vcd", "s27", "--len", "5"]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with("$date"));
-    assert!(text.contains("$enddefinitions $end"));
-}
-
-#[test]
 fn scoap_lists_all_nets() {
     let out = motsim(&["scoap", "s27"]);
     assert!(out.status.success());
@@ -106,6 +97,43 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn removed_commands_and_options_are_unknown() {
+    for cmd in ["vcd", "diagnose"] {
+        let out = motsim(&[cmd, "s27"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command `{cmd}`")), "{err}");
+    }
+    for opt in ["--inject", "--all-nets", "--compact"] {
+        let out = motsim(&["tgen", "s27", opt]);
+        assert_eq!(out.status.code(), Some(2), "{opt}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{opt}`")), "{err}");
+    }
+}
+
+/// A zero node limit is a usage error, reported before any simulation.
+fn assert_zero_limit_rejected(args: &[&str]) {
+    let out = motsim(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--limit must be at least 1 node"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    assert!(!err.contains("engine failure"), "{err}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+#[test]
+fn strategies_rejects_a_zero_limit() {
+    assert_zero_limit_rejected(&["strategies", "g27", "--limit", "0"]);
+}
+
+#[test]
+fn testeval_rejects_a_zero_limit() {
+    assert_zero_limit_rejected(&["testeval", "s27", "--limit", "0x0"]);
+}
+
+#[test]
 fn unknown_circuit_fails() {
     let out = motsim(&["stats", "does-not-exist"]);
     assert!(!out.status.success());
@@ -118,35 +146,6 @@ fn synch_fails_gracefully_on_unsynchronizable() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("no synchronizing sequence"));
-}
-
-#[test]
-fn diagnose_names_candidates() {
-    let out = motsim(&["diagnose", "s27", "--len", "60"]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("candidate"));
-}
-
-#[test]
-fn diagnose_rejects_an_out_of_range_inject_index() {
-    let out = motsim(&["diagnose", "g27", "--inject", "99999"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--inject index out of range"), "{err}");
-    assert!(err.contains("usage"), "{err}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(!text.contains("injected"), "{text}");
-}
-
-#[test]
-fn vcd_rejects_an_out_of_range_inject_index() {
-    let out = motsim(&["vcd", "g27", "--inject", "99999"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--inject index out of range"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    assert!(out.stdout.is_empty());
 }
 
 /// Writes `content` to a fresh temp file and runs `trace-check` on it,

@@ -116,8 +116,16 @@ impl<'s> SimConfig<'s> {
         }
     }
 
-    /// Checks the knob combination an engine is about to honour.
-    fn validate(&self, hybrid: bool) -> Result<(), SimError> {
+    /// Checks the knob combination an engine is about to honour; `hybrid`
+    /// adds the rules only [`HybridEngine`] reads. Every engine runs this
+    /// check first, so a caller that fans one config out over many runs
+    /// can run it once up front.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`SimError::Config`] on a zero node limit, or on zero
+    /// fallback frames when `hybrid` is set.
+    pub fn validate(&self, hybrid: bool) -> Result<(), SimError> {
         if self.node_limit == Some(0) {
             return Err(SimError::Config(
                 "node limit must be at least 1 (use None for unlimited)".into(),

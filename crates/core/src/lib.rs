@@ -43,18 +43,15 @@
 //! something else: the fallible dense BDD evaluators of [`symbolic`], and
 //! the lattice passes of [`xred`] and [`testability`].
 //!
-//! Around the pipeline, the crate ships the downstream tooling a fault
-//! simulator enables:
+//! Around the pipeline, the crate ships three analyses the paper's argument
+//! and the tests lean on:
 //!
 //! - [`synch`] — synchronizing-sequence search and profiling (exact,
 //!   BDD-based — succeeds on the circuit classes of \[11\] where any
 //!   three-valued search must fail),
-//! - [`dictionary`] — pass/fail fault dictionaries and diagnosis,
-//! - [`compact`] — test-sequence compaction by vector omission,
 //! - [`ordering`] — static BDD variable-ordering heuristics for the state
 //!   encoding,
-//! - [`testability`] — SCOAP controllability/observability measures \[6\],
-//! - [`vcd`] — Value Change Dump export of (faulty) simulations.
+//! - [`testability`] — SCOAP controllability/observability measures \[6\].
 //!
 //! # Quickstart
 //!
@@ -86,8 +83,6 @@
 //! # }
 //! ```
 
-pub mod compact;
-pub mod dictionary;
 pub mod engine_api;
 pub mod exhaustive;
 pub mod faults;
@@ -103,7 +98,6 @@ pub mod synch;
 pub mod testability;
 pub mod testeval;
 pub mod tgen;
-pub mod vcd;
 pub mod xred;
 
 pub use engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};

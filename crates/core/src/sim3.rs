@@ -112,8 +112,7 @@ pub fn eval_frame(netlist: &Netlist, state: &[V3], inputs: &[bool], values: &mut
 /// re-simulation with the stuck-at overrides applied (stem forcing at the
 /// site, branch forcing at the sink pin). The event-driven simulator in
 /// [`FaultSim3`] computes the same values sparsely; this dense variant is
-/// the reference shared by the fault dictionary, the VCD dumper and the
-/// event-driven engine's tests.
+/// the reference it is tested against.
 ///
 /// # Panics
 ///
@@ -746,23 +745,29 @@ mod tests {
     }
 
     /// Oracle: serial full re-simulation of the faulty machine through the
-    /// public dense reference must agree with the event-driven simulator.
-    fn full_resim_detects(netlist: &Netlist, fault: Fault, seq: &TestSequence) -> bool {
+    /// public dense reference, without fault dropping. Returns the first
+    /// `(frame, output)` with a known fault-free/faulty discrepancy, which
+    /// the event-driven simulator must report as the fault's detection.
+    fn full_resim_detects(
+        netlist: &Netlist,
+        fault: Fault,
+        seq: &TestSequence,
+    ) -> Option<(usize, usize)> {
         let mut good = TrueSim::new(netlist);
         let mut fstate = vec![V3::X; netlist.num_dffs()];
         let mut fvals = Vec::new();
-        for v in seq {
+        for (t, v) in seq.iter().enumerate() {
             good.step(v);
             eval_frame_with_fault(netlist, &fstate, v, fault, &mut fvals);
-            for &o in netlist.outputs() {
+            for (j, &o) in netlist.outputs().iter().enumerate() {
                 let (tv, fv) = (good.value(o), fvals[o.index()]);
                 if tv.is_known() && fv.is_known() && tv != fv {
-                    return true;
+                    return Some((t, j));
                 }
             }
             next_state_with_fault(netlist, &fvals, fault, &mut fstate);
         }
-        false
+        None
     }
 
     #[test]
@@ -774,7 +779,7 @@ mod tests {
         for r in &outcome.results {
             let expect = full_resim_detects(&n, r.fault, &seq);
             assert_eq!(
-                r.detection.is_some(),
+                r.detection.map(|d| (d.frame, d.output)),
                 expect,
                 "fault {} disagrees",
                 r.fault.display(&n)
@@ -791,7 +796,7 @@ mod tests {
         for r in &outcome.results {
             let expect = full_resim_detects(&n, r.fault, &seq);
             assert_eq!(
-                r.detection.is_some(),
+                r.detection.map(|d| (d.frame, d.output)),
                 expect,
                 "fault {} disagrees",
                 r.fault.display(&n)

@@ -191,12 +191,15 @@ pub fn run(job: &Job) -> Result<JobResult, EngineError> {
 ///
 /// # Errors
 ///
-/// Fails with [`EngineError`] if a shard's engine fails (a
-/// [`EngineKind::Symbolic`] node-limit hit, or an invalid configuration).
-/// All units still run and their traces are still replayed; the lowest-id
-/// failure is reported.
+/// Fails with [`EngineError`] if the engine configuration is invalid
+/// (checked once, before partitioning, with [`EngineError::unit`] `None`
+/// and no trace events), or if a shard's engine fails (a
+/// [`EngineKind::Symbolic`] node-limit hit). In the second case all units
+/// still run and their traces are still replayed; the lowest-id failure is
+/// reported.
 pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, EngineError> {
     let start = Instant::now();
+    unit_config(job.engine).validate(matches!(job.engine, EngineKind::Hybrid(..)))?;
     let units = job.units.unwrap_or_else(|| default_units(job.faults.len()));
     let plan = FaultPartitioner::new(job.netlist, job.policy).partition(job.faults, units);
     let n_units = plan.len();
@@ -288,6 +291,20 @@ pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, Engi
     })
 }
 
+/// The engine configuration every unit of a job runs under, before its
+/// trace sink is attached.
+fn unit_config(engine: EngineKind) -> SimConfig<'static> {
+    match engine {
+        EngineKind::Sim3 => SimConfig::new(),
+        EngineKind::Symbolic(strategy) => SimConfig::new().strategy(strategy),
+        EngineKind::Hybrid(strategy, config) => SimConfig::new()
+            .strategy(strategy)
+            .node_limit(Some(config.node_limit))
+            .fallback_frames(config.fallback_frames)
+            .reorder(config.reorder),
+    }
+}
+
 /// Simulates one shard through the unified [`engine_api`](motsim::engine_api),
 /// in a fresh engine instance (fresh BDD manager for the symbolic engines —
 /// the fault-independent MOT factors `E_j(x, y)` are recomputed per shard,
@@ -299,30 +316,16 @@ fn run_unit(
     faults: &[Fault],
     sink: &mut dyn TraceSink,
 ) -> Result<SimOutcome, SimError> {
+    let config = unit_config(job.engine).sink(sink);
     match job.engine {
         EngineKind::Sim3 => Sim3Engine.run_on(
             job.netlist,
             trajectory.expect("built for three-valued jobs"),
             faults,
-            SimConfig::new().sink(sink),
+            config,
         ),
-        EngineKind::Symbolic(strategy) => SymbolicEngine.run(
-            job.netlist,
-            job.seq,
-            faults,
-            SimConfig::new().strategy(strategy).sink(sink),
-        ),
-        EngineKind::Hybrid(strategy, config) => HybridEngine.run(
-            job.netlist,
-            job.seq,
-            faults,
-            SimConfig::new()
-                .strategy(strategy)
-                .node_limit(Some(config.node_limit))
-                .fallback_frames(config.fallback_frames)
-                .reorder(config.reorder)
-                .sink(sink),
-        ),
+        EngineKind::Symbolic(_) => SymbolicEngine.run(job.netlist, job.seq, faults, config),
+        EngineKind::Hybrid(..) => HybridEngine.run(job.netlist, job.seq, faults, config),
     }
 }
 
@@ -503,6 +506,38 @@ mod tests {
             .unwrap()
             .outcome;
         assert_eq!(tv.bdd, motsim::report::BddUsage::default());
+    }
+
+    /// An invalid hybrid configuration is a job-level error, whether or not
+    /// there are faults to partition, and leaves no trace.
+    #[test]
+    fn invalid_hybrid_config_fails_before_partitioning() {
+        let (n, faults, seq) = setup(4);
+        let bad = [
+            HybridConfig {
+                node_limit: 0,
+                ..HybridConfig::default()
+            },
+            HybridConfig {
+                fallback_frames: 0,
+                ..HybridConfig::default()
+            },
+        ];
+        for config in bad {
+            for faults in [&[][..], &faults[..]] {
+                let job = Job::new(&n, &seq, faults, EngineKind::Hybrid(Strategy::Mot, config))
+                    .jobs(2)
+                    .units(3);
+                let mut sink = CollectSink::new();
+                let err = run_traced(&job, &mut sink).unwrap_err();
+                assert_eq!(err.unit, None, "{config:?}, {} fault(s)", faults.len());
+                assert!(
+                    matches!(err.source, SimError::Config(_)),
+                    "{config:?}: {err}"
+                );
+                assert!(sink.events().is_empty(), "{config:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Integration tests for the downstream tooling built on the fault
-//! simulator: dictionaries, diagnosis, synchronization, compaction,
-//! ordering and SCOAP — and how they interact.
+//! Integration tests for the tooling around the fault simulator —
+//! synchronization, variable ordering and SCOAP — and how it interacts with
+//! the engines.
 
 use std::collections::BTreeSet;
 
-use motsim::compact;
-use motsim::dictionary::FaultDictionary;
 use motsim::faults::{Fault, FaultList};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
@@ -13,7 +11,6 @@ use motsim::sim3::FaultSim3;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::synch::{self, SynchConfig};
 use motsim::testability::Testability;
-use motsim::vcd;
 use motsim::xred::XRedAnalysis;
 use motsim_logic::V3;
 
@@ -58,22 +55,6 @@ fn synchronized_prefix_closes_the_reset_gap() {
     );
 }
 
-/// A dictionary built on a compacted sequence diagnoses the same faults.
-#[test]
-fn compaction_preserves_dictionary_diagnosis() {
-    let n = motsim_circuits::s27();
-    let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
-    let seq = TestSequence::random(&n, 80, 12);
-    let r = compact::compact(&n, &seq, &faults);
-    assert!(r.detected >= r.baseline_detected);
-    let dict = FaultDictionary::build(&n, &r.sequence, faults.iter().cloned());
-    assert_eq!(dict.detectable().count(), r.detected);
-    for fault in dict.detectable().take(5).collect::<Vec<_>>() {
-        let observed: BTreeSet<_> = dict.signature(fault).unwrap().clone();
-        assert!(dict.diagnose(&observed).contains(&fault));
-    }
-}
-
 /// SCOAP-untestable faults are never detected by any engine we have.
 #[test]
 fn scoap_untestable_faults_stay_undetected() {
@@ -110,28 +91,6 @@ fn checkpoint_list_is_consistent() {
         assert!(complete.contains(f));
     }
     assert!(cp.len() <= complete.len());
-}
-
-/// VCD dumps of the fault-free machine and of an undetected fault's
-/// machine agree on every primary-output line where the fault-free value
-/// is known — otherwise the fault would have been detected.
-#[test]
-fn vcd_agrees_with_detection_verdicts() {
-    let n = motsim_circuits::s27();
-    let faults = FaultList::collapsed(&n);
-    let seq = TestSequence::random(&n, 30, 14);
-    let outcome = FaultSim3::run(&n, &seq, faults.iter().cloned());
-    let undetected: Vec<Fault> = outcome.undetected_faults().take(3).collect();
-    for fault in undetected {
-        let good = vcd::dump(&n, &seq, vcd::Scope::Interface);
-        let bad = vcd::dump_with_fault(&n, &seq, Some(fault), vcd::Scope::Interface);
-        // Cheap structural check: the two dumps may differ on internal
-        // state lines, but both parse as VCD and share the header.
-        assert_eq!(
-            good.lines().take(4).collect::<Vec<_>>(),
-            bad.lines().take(4).collect::<Vec<_>>()
-        );
-    }
 }
 
 /// Variable orders interoperate with the hybrid pipeline end to end.
