@@ -130,6 +130,24 @@ diff <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j1.txt") \
   <(sed -E 's/( +[^ ]+){3}$//' "$TRACE_DIR/table2_j2.txt")
 grep -q "Σ detected: SOT 279  rMOT 304  MOT 292" "$TRACE_DIR/table2_j1.txt"
 
+echo "==> smoke: long hybrid reference run (g526 strategies --len 100)"
+# A long hybrid run under node-limit pressure: every strategy falls back, and MOT
+# spends 1,617 frames three-valued. With times and the `bdd:` counter lines
+# stripped, the verdicts, the approximation markers and the fallback-frame
+# counts are pinned, so a change that moves a MOT fallback point fails here.
+cargo run --release -q -p motsim-cli --bin motsim -- \
+  strategies g526 --len 100 --jobs 2 --bdd-stats 2>/dev/null |
+  sed 's/ in .*//' | grep -v '^  bdd:' >"$TRACE_DIR/g526_len100.txt"
+diff - "$TRACE_DIR/g526_len100.txt" <<'PINNED'
+g526: |F| = 569, three-valued detects 15, 554 hard faults remain
+  SOT: +16    detected (*)
+  reorder: 0 sifting pass(es), 0 level swap(s); 1322 fallback frame(s)
+  rMOT: +32    detected (*)
+  reorder: 0 sifting pass(es), 0 level swap(s); 1322 fallback frame(s)
+  MOT: +0     detected (*)
+  reorder: 0 sifting pass(es), 0 level swap(s); 1617 fallback frame(s)
+PINNED
+
 echo "==> smoke: deterministic sequences (table3 --jobs 1 vs 2)"
 # Table III runs the hybrid SOT/rMOT/MOT simulators on the `tgen` sequences.
 # Its counts must not depend on --jobs (the last three columns are times and

@@ -389,10 +389,10 @@ impl Inner {
         la < lb || (la == lb && index_of(a) < index_of(b))
     }
 
-    /// Grows the unique table (×2) and rehashes every live node from the
-    /// arena.
-    fn grow_unique(&mut self) {
-        let cap = self.slots_capacity() * 2;
+    /// Rebuilds the unique table at `cap` slots (a power of two) from the
+    /// nodes in the arena: to grow it, and after a collection, since
+    /// deleting single entries would break linear-probe chains.
+    fn rehash(&mut self, cap: usize) {
         self.unique.slots.clear();
         self.unique.slots.resize(cap, 0);
         self.unique.mask = cap - 1;
@@ -410,10 +410,6 @@ impl Inner {
         }
     }
 
-    fn slots_capacity(&self) -> usize {
-        self.unique.slots.len()
-    }
-
     fn make_node(&mut self, var: u32, low: u32, high: u32) -> Result<u32, BddError> {
         if low == high {
             return Ok(low);
@@ -427,7 +423,7 @@ impl Inner {
             "order violated"
         );
         if self.unique.needs_grow() {
-            self.grow_unique();
+            self.rehash(self.unique.slots.len() * 2);
         }
         self.unique.lookups += 1;
         let mut slot = mix(var, low, high) as usize & self.unique.mask;
@@ -479,12 +475,7 @@ impl Inner {
         // A fresh variable takes the bottom level of the current order.
         self.var2level.push(self.level2var.len() as u32);
         self.level2var.push(var);
-        let saved = self.limit.take();
-        let lit = self
-            .make_node(var, FALSE, TRUE)
-            .expect("literal creation is unlimited");
-        self.limit = saved;
-        (var, lit)
+        (var, self.var_lit(var, true))
     }
 
     fn var_lit(&mut self, var: u32, positive: bool) -> u32 {
@@ -839,24 +830,7 @@ impl Inner {
             }
         }
         self.live -= freed;
-        // Rebuild the open-addressed unique table from the surviving arena
-        // (deleting individual entries would break linear-probe chains).
-        let cap = self.slots_capacity();
-        self.unique.slots.clear();
-        self.unique.slots.resize(cap, 0);
-        self.unique.len = 0;
-        for i in 1..self.nodes.len() {
-            let node = self.nodes[i];
-            if node.var == FREE_SLOT {
-                continue;
-            }
-            let mut slot = mix(node.var, node.low, node.high) as usize & self.unique.mask;
-            while self.unique.slots[slot] != 0 {
-                slot = (slot + 1) & self.unique.mask;
-            }
-            self.unique.slots[slot] = i as u32 + 1;
-            self.unique.len += 1;
-        }
+        self.rehash(self.unique.slots.len());
         self.cache.clear();
         self.garbage = false;
         self.gc_runs += 1;

@@ -174,15 +174,6 @@ pub trait FaultSimEngine {
     ) -> Result<SimOutcome, SimError>;
 }
 
-/// Strategy slug used in trace engine names (`sim3`, `hybrid-mot`, …).
-fn slug(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Sot => "sot",
-        Strategy::Rmot => "rmot",
-        Strategy::Mot => "mot",
-    }
-}
-
 /// Runs `body` on the config's sink (or a [`NullSink`]) between a
 /// [`TraceEvent::RunStart`] and, if it succeeds, a [`TraceEvent::RunEnd`].
 fn bracketed(
@@ -273,7 +264,7 @@ impl FaultSimEngine for SymbolicEngine {
         config: SimConfig<'_>,
     ) -> Result<SimOutcome, SimError> {
         config.validate(false)?;
-        let engine = format!("symbolic-{}", slug(config.strategy));
+        let engine = format!("symbolic-{}", config.strategy).to_lowercase();
         bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
             let mut sim = SymbolicFaultSim::new(netlist, config.strategy);
             sim.set_node_limit(config.node_limit);
@@ -316,7 +307,7 @@ impl FaultSimEngine for HybridEngine {
             fallback_frames: config.fallback_frames,
             reorder: config.reorder,
         };
-        let engine = format!("hybrid-{}", slug(config.strategy));
+        let engine = format!("hybrid-{}", config.strategy).to_lowercase();
         bracketed(config.sink, engine, faults.len(), seq.len(), |sink| {
             Ok(hybrid::run_traced(
                 netlist,

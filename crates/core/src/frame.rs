@@ -117,12 +117,41 @@ pub(crate) fn next_state<L: Logic>(
     }
 }
 
+/// A full faulty state as its differences from the fault-free state `good`:
+/// the sorted `(flip-flop index, value)` pairs [`Sparse`] takes and returns.
+///
+/// # Panics
+///
+/// Panics if the widths of `good` and `state` differ.
+pub(crate) fn diff<V: PartialEq>(good: &[V], state: Vec<V>) -> Vec<(usize, V)> {
+    assert_eq!(state.len(), good.len(), "faulty state width mismatch");
+    state
+        .into_iter()
+        .zip(good)
+        .enumerate()
+        .filter(|(_, (v, g))| v != *g)
+        .map(|(i, (v, _))| (i, v))
+        .collect()
+}
+
+/// The full faulty state whose differences from `good` are `diffs`: the
+/// inverse of [`diff`].
+pub(crate) fn patch<V: Clone>(good: &[V], diffs: impl IntoIterator<Item = (usize, V)>) -> Vec<V> {
+    let mut state = good.to_vec();
+    for (i, v) in diffs {
+        state[i] = v;
+    }
+    state
+}
+
 /// Scratch memory of the sparse single-fault pass, reused across faults
 /// and frames so a pass allocates nothing.
 ///
 /// A faulty machine's present state enters and leaves the pass as its
 /// *differences* from the fault-free state: `(flip-flop index, value)`
-/// pairs, sorted by index.
+/// pairs, sorted by index. Both fault simulators store every faulty state
+/// in this form and convert to full state vectors only at the hybrid's
+/// phase boundaries, through [`diff`] and [`patch`].
 #[derive(Debug, Clone)]
 pub(crate) struct Sparse<'a, V> {
     netlist: &'a Netlist,
@@ -423,12 +452,9 @@ mod tests {
                 }
                 faulty.next_state_diffs(&mut diffs);
                 assert!(diffs.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-                let mut state = good.state().to_vec();
-                for &(i, v) in &diffs {
-                    assert_ne!(state[i], v, "a difference differs");
-                    state[i] = v;
-                }
+                let state = patch(good.state(), diffs.iter().copied());
                 assert_eq!(state, dense_state, "{} frame {t}", fault.display(netlist));
+                assert_eq!(diff(good.state(), state), diffs, "a difference differs");
             }
         }
     }

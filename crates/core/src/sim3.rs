@@ -412,21 +412,9 @@ impl<'a> FaultSim3<'a> {
         let mut sim = FaultSim3::new(netlist, std::iter::empty());
         sim.truesim.set_state(true_state);
         for (fault, state) in faulty {
-            assert_eq!(
-                state.len(),
-                netlist.num_dffs(),
-                "faulty state width mismatch"
-            );
-            let state = state
-                .into_iter()
-                .zip(true_state)
-                .enumerate()
-                .filter(|(_, (v, good))| v != *good)
-                .map(|(i, (v, _))| (i, v))
-                .collect();
             sim.machines.records.push(FaultRecord {
                 fault,
-                state,
+                state: frame::diff(true_state, state),
                 detection: None,
             });
         }
@@ -441,11 +429,10 @@ impl<'a> FaultSim3<'a> {
             .iter()
             .filter(|r| r.detection.is_none())
             .map(|r| {
-                let mut state = self.truesim.state().to_vec();
-                for &(i, v) in &r.state {
-                    state[i] = v;
-                }
-                (r.fault, state)
+                (
+                    r.fault,
+                    frame::patch(self.truesim.state(), r.state.iter().copied()),
+                )
             })
             .collect()
     }

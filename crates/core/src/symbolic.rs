@@ -34,7 +34,7 @@ use motsim_netlist::{GateKind, Netlist, NodeKind};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
-use crate::frame::{Faulty, Sparse};
+use crate::frame::{self, Faulty, Sparse};
 use crate::pattern::TestSequence;
 use crate::report::{BddUsage, Detection, FaultOutcome, SimOutcome};
 
@@ -104,8 +104,9 @@ pub fn eval_gate_bdd(mgr: &BddManager, kind: GateKind, inputs: &[Bdd]) -> Result
 /// Symbolic true-value (fault-free) simulator: one BDD per net, state
 /// encoded over the `x` variables.
 ///
-/// Used stand-alone by [test evaluation](crate::testeval) and internally by
-/// [`SymbolicFaultSim`].
+/// Used stand-alone by [test evaluation](crate::testeval) and
+/// [synchronization analysis](crate::synch), and as the fault-free machine
+/// of [`SymbolicFaultSim`].
 #[derive(Debug)]
 pub struct SymbolicTrueSim<'a> {
     netlist: &'a Netlist,
@@ -126,10 +127,16 @@ impl<'a> SymbolicTrueSim<'a> {
     /// Creates a simulator allocating its `x` variables in `mgr` (which may
     /// carry a node limit).
     pub fn with_manager(netlist: &'a Netlist, mgr: BddManager) -> Self {
-        let xvars: Vec<VarId> = (0..netlist.num_dffs())
+        let xvars = (0..netlist.num_dffs())
             .map(|_| mgr.new_var().top_var().expect("fresh literal"))
             .collect();
-        let state: Vec<Bdd> = xvars.iter().map(|&v| mgr.var(v)).collect();
+        Self::with_xvars(netlist, mgr, xvars)
+    }
+
+    /// Creates a simulator whose flip-flop `i` starts as the variable
+    /// `xvars[i]` of `mgr` (MOT interleaves them with its `y` variables).
+    pub(crate) fn with_xvars(netlist: &'a Netlist, mgr: BddManager, xvars: Vec<VarId>) -> Self {
+        let state = xvars.iter().map(|&v| mgr.var(v)).collect();
         let values = vec![mgr.zero(); netlist.num_nets()];
         SymbolicTrueSim {
             netlist,
@@ -163,6 +170,20 @@ impl<'a> SymbolicTrueSim<'a> {
         self.state = state;
     }
 
+    /// Lifts a three-valued state to the `x` encoding: known bits become
+    /// constants, `X` bits the flip-flop's variable `x_i`.
+    pub(crate) fn lift(&self, state: &[V3]) -> Vec<Bdd> {
+        assert_eq!(state.len(), self.xvars.len(), "state width mismatch");
+        state
+            .iter()
+            .zip(&self.xvars)
+            .map(|(&v, &x)| match v.to_bool() {
+                Some(b) => self.mgr.constant(b),
+                None => self.mgr.var(x),
+            })
+            .collect()
+    }
+
     /// Applies one input vector.
     ///
     /// # Errors
@@ -170,17 +191,37 @@ impl<'a> SymbolicTrueSim<'a> {
     /// Fails with [`BddError::NodeLimit`] if the manager's node limit is
     /// hit; the simulator state is unchanged in that case.
     pub fn step(&mut self, inputs: &[bool]) -> Result<(), BddError> {
-        let values = eval_frame_bdd(self.netlist, &self.mgr, &self.state, inputs)?;
-        let next: Vec<Bdd> = self
-            .netlist
+        let values = self.eval(inputs)?;
+        self.commit(values);
+        Ok(())
+    }
+
+    /// Evaluates the next frame from the present state without advancing:
+    /// [`commit`](Self::commit) the result to advance.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
+    pub(crate) fn eval(&self, inputs: &[bool]) -> Result<Vec<Bdd>, BddError> {
+        eval_frame_bdd(self.netlist, &self.mgr, &self.state, inputs)
+    }
+
+    /// The value each flip-flop stores from the frame `values`: the next
+    /// state.
+    pub(crate) fn next_state<'v>(&'v self, values: &'v [Bdd]) -> impl Iterator<Item = &'v Bdd> {
+        let netlist = self.netlist;
+        netlist
             .dffs()
             .iter()
-            .map(|&q| values[self.netlist.dff_d(q).index()].clone())
-            .collect();
+            .map(move |&q| &values[netlist.dff_d(q).index()])
+    }
+
+    /// Advances by one frame whose per-net values [`eval`](Self::eval)
+    /// returned.
+    pub(crate) fn commit(&mut self, values: Vec<Bdd>) {
+        self.state = self.next_state(&values).cloned().collect();
         self.values = values;
-        self.state = next;
         self.frame += 1;
-        Ok(())
     }
 
     /// Per-net values of the most recent frame.
@@ -243,8 +284,10 @@ pub fn eval_frame_bdd(
 
 struct SymFaultRecord {
     fault: Fault,
-    /// Faulty symbolic present state (over the `x` variables).
-    state: Vec<Bdd>,
+    /// The faulty symbolic present state's differences from the fault-free
+    /// one, as [`Sparse`] takes and returns them: `(flip-flop index,
+    /// function over x)` pairs, sorted by index.
+    state: Vec<(usize, Bdd)>,
     /// The accumulated detection function `D~` (over `x` for rMOT, over
     /// `(x, y)` for MOT; unused for SOT).
     det: Bdd,
@@ -256,6 +299,12 @@ struct SymFaultRecord {
 /// Construct with [`new`](Self::new), add faults, then drive it frame by
 /// frame ([`step`](Self::step)) or with [`run`](Self::run). For the
 /// space-limited hybrid wrapper see [`crate::hybrid::run_traced`].
+///
+/// The fault-free machine is an owned [`SymbolicTrueSim`]. Each faulty
+/// machine is stored as the sorted differences of its state from the
+/// fault-free one, the form the sparse single-fault pass takes and returns,
+/// so a fault's state costs memory and seeding work in proportion to its
+/// effect, as in [`FaultSim3`](crate::sim3::FaultSim3).
 ///
 /// # Example
 ///
@@ -277,16 +326,13 @@ struct SymFaultRecord {
 /// # }
 /// ```
 pub struct SymbolicFaultSim<'a> {
-    netlist: &'a Netlist,
+    /// The fault-free machine; every faulty machine is stored as its
+    /// differences from this one's present state.
+    good: SymbolicTrueSim<'a>,
     strategy: Strategy,
-    mgr: BddManager,
-    xvars: Vec<VarId>,
     rename_map: Vec<(VarId, VarId)>,
-    true_state: Vec<Bdd>,
-    values: Vec<Bdd>,
     records: Vec<SymFaultRecord>,
     sparse: Sparse<'a, Bdd>,
-    frame: usize,
     degraded_terms: usize,
     trace_offset: usize,
     last_frame_events: usize,
@@ -325,7 +371,7 @@ thread_local! {
 struct FaultUpdate {
     index: usize,
     det: Bdd,
-    state: Vec<Bdd>,
+    state: Vec<(usize, Bdd)>,
     detection: Option<Detection>,
     /// Nets of the faulty machine that diverged from the fault-free frame
     /// (the sparse pass's diverged-net count).
@@ -372,19 +418,12 @@ impl<'a> SymbolicFaultSim<'a> {
                 rename_map.push((x, y));
             }
         }
-        let true_state: Vec<Bdd> = xvars.iter().map(|&v| mgr.var(v)).collect();
-        let values = vec![mgr.zero(); netlist.num_nets()];
         SymbolicFaultSim {
-            netlist,
+            good: SymbolicTrueSim::with_xvars(netlist, mgr, xvars),
             strategy,
-            mgr,
-            xvars,
             rename_map,
-            true_state,
-            values,
             records: Vec::new(),
             sparse: Sparse::new(netlist),
-            frame: 0,
             degraded_terms: 0,
             trace_offset: 0,
             last_frame_events: 0,
@@ -406,7 +445,7 @@ impl<'a> SymbolicFaultSim<'a> {
     /// 30,000). With a limit set, [`step`](Self::step) may fail with
     /// [`BddError::NodeLimit`].
     pub fn set_node_limit(&mut self, limit: Option<usize>) {
-        self.mgr.set_node_limit(limit);
+        self.manager().set_node_limit(limit);
     }
 
     /// Runs one sifting pass of dynamic variable reordering on the
@@ -427,7 +466,7 @@ impl<'a> SymbolicFaultSim<'a> {
     /// [`BddManager::sift_traced`]).
     pub fn reorder_sift_traced(&mut self, sink: &mut dyn TraceSink) -> usize {
         let groups: Vec<Vec<VarId>> = self.rename_map.iter().map(|&(x, y)| vec![x, y]).collect();
-        self.mgr.sift_traced(&groups, 1.2, sink)
+        self.manager().sift_traced(&groups, 1.2, sink)
     }
 
     /// The strategy this simulator applies.
@@ -437,43 +476,33 @@ impl<'a> SymbolicFaultSim<'a> {
 
     /// The underlying manager (e.g. for statistics).
     pub fn manager(&self) -> &BddManager {
-        &self.mgr
+        self.good.manager()
     }
 
     /// The state-encoding variables.
     pub fn xvars(&self) -> &[VarId] {
-        &self.xvars
+        self.good.xvars()
     }
 
     /// Adds a fault to simulate; its faulty machine starts in the same
     /// unknown initial state encoding.
     pub fn add_fault(&mut self, fault: Fault) {
-        self.records.push(SymFaultRecord {
-            fault,
-            state: self.xvars.iter().map(|&v| self.mgr.var(v)).collect(),
-            det: self.mgr.one(),
-            detection: None,
-        });
+        self.add_fault_with_state(fault, &vec![V3::X; self.good.xvars.len()]);
     }
 
     /// Adds a fault whose machine starts from a (partially) known
     /// three-valued state: known bits become constants, `X` bits the `x_i`
     /// variable. Used by the hybrid simulator when re-entering symbolic
     /// mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width of `state` does not match the flip-flop count.
     pub fn add_fault_with_state(&mut self, fault: Fault, state: &[V3]) {
-        assert_eq!(state.len(), self.xvars.len(), "state width mismatch");
-        let state = state
-            .iter()
-            .zip(&self.xvars)
-            .map(|(&v, &x)| match v.to_bool() {
-                Some(b) => self.mgr.constant(b),
-                None => self.mgr.var(x),
-            })
-            .collect();
         self.records.push(SymFaultRecord {
             fault,
-            state,
-            det: self.mgr.one(),
+            state: frame::diff(&self.good.state, self.good.lift(state)),
+            det: self.manager().one(),
             detection: None,
         });
     }
@@ -486,18 +515,11 @@ impl<'a> SymbolicFaultSim<'a> {
     /// Panics if called after faults were added or frames simulated.
     pub fn seed_true_state(&mut self, state: &[V3]) {
         assert!(
-            self.records.is_empty() && self.frame == 0,
+            self.records.is_empty(),
             "seed_true_state must be called before adding faults"
         );
-        assert_eq!(state.len(), self.xvars.len(), "state width mismatch");
-        self.true_state = state
-            .iter()
-            .zip(&self.xvars)
-            .map(|(&v, &x)| match v.to_bool() {
-                Some(b) => self.mgr.constant(b),
-                None => self.mgr.var(x),
-            })
-            .collect();
+        let state = self.good.lift(state);
+        self.good.seed_state(state);
     }
 
     /// Number of faults not yet marked detectable.
@@ -511,15 +533,19 @@ impl<'a> SymbolicFaultSim<'a> {
     /// Projects the fault-free symbolic state to three values (constants
     /// stay known, everything else becomes `X`).
     pub fn true_state_v3(&self) -> Vec<V3> {
-        self.true_state.iter().map(project_v3).collect()
+        self.good.state.iter().map(project_v3).collect()
     }
 
     /// Projects every live fault's symbolic state to three values.
     pub fn faulty_states_v3(&self) -> Vec<(Fault, Vec<V3>)> {
+        let good = self.true_state_v3();
         self.records
             .iter()
             .filter(|r| r.detection.is_none())
-            .map(|r| (r.fault, r.state.iter().map(project_v3).collect()))
+            .map(|r| {
+                let diffs = r.state.iter().map(|(i, v)| (*i, project_v3(v)));
+                (r.fault, frame::patch(&good, diffs))
+            })
             .collect()
     }
 
@@ -534,10 +560,10 @@ impl<'a> SymbolicFaultSim<'a> {
                     detection: r.detection,
                 })
                 .collect(),
-            frames: self.frame,
+            frames: self.frames(),
             fallback_frames: 0,
             degraded_terms: self.degraded_terms,
-            bdd: BddUsage::from_stats(&self.mgr.stats()),
+            bdd: BddUsage::from_stats(&self.manager().stats()),
         };
         outcome.sort_by_fault();
         outcome
@@ -609,29 +635,29 @@ impl<'a> SymbolicFaultSim<'a> {
     ///
     /// Fails with [`BddError::NodeLimit`] as described above.
     pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
-        let Some(limit) = self.mgr.node_limit() else {
+        let Some(limit) = self.manager().node_limit() else {
             let newly = self.step_attempt(inputs, Attempt::Collected)?;
-            if self.mgr.live_nodes() > UNLIMITED_GC_THRESHOLD {
-                self.mgr.gc();
+            if self.manager().live_nodes() > UNLIMITED_GC_THRESHOLD {
+                self.manager().gc();
             }
             return Ok(newly);
         };
-        let created = self.mgr.stats().nodes_created;
-        let result = if !self.mgr.has_garbage() {
+        let created = self.manager().stats().nodes_created;
+        let result = if !self.manager().has_garbage() {
             self.step_attempt(inputs, Attempt::Collected)
         } else if self.collect_first(limit) {
-            self.mgr.gc();
+            self.manager().gc();
             self.step_attempt(inputs, Attempt::Collected)
         } else {
             match self.step_attempt(inputs, Attempt::Uncollected) {
                 Err(BddError::NodeLimit { .. }) => {
-                    self.mgr.gc();
+                    self.manager().gc();
                     self.step_attempt(inputs, Attempt::Collected)
                 }
                 done => done,
             }
         };
-        self.last_frame_created = (self.mgr.stats().nodes_created - created) as usize;
+        self.last_frame_created = (self.manager().stats().nodes_created - created) as usize;
         result
     }
 
@@ -663,9 +689,9 @@ impl<'a> SymbolicFaultSim<'a> {
     ) -> Result<Vec<Fault>, BddError> {
         let newly = self.step(inputs)?;
         if sink.enabled() {
-            let stats = self.mgr.stats();
+            let stats = self.manager().stats();
             sink.event(&TraceEvent::SymFrame {
-                frame: self.trace_offset + self.frame - 1,
+                frame: self.trace_offset + self.frames() - 1,
                 live: stats.live_nodes,
                 peak: stats.peak_live_nodes,
                 hits: stats.cache_hits,
@@ -680,23 +706,18 @@ impl<'a> SymbolicFaultSim<'a> {
 
     fn step_attempt(&mut self, inputs: &[bool], attempt: Attempt) -> Result<Vec<Fault>, BddError> {
         // 1. Fault-free frame.
-        let values = eval_frame_bdd(self.netlist, &self.mgr, &self.true_state, inputs)?;
-        let next_state: Vec<Bdd> = self
-            .netlist
-            .dffs()
-            .iter()
-            .map(|&q| values[self.netlist.dff_d(q).index()].clone())
-            .collect();
+        let good = &self.good;
+        let values = good.eval(inputs)?;
 
         // 2. Fault-independent MOT factors, built lazily.
         let mut frame = FrameCtx {
-            netlist: self.netlist,
-            mgr: &self.mgr,
+            netlist: good.netlist,
+            mgr: &good.mgr,
             values: &values,
             rename_map: &self.rename_map,
             attempt,
-            e_terms: vec![None; self.netlist.num_outputs()],
-            e_failed: vec![false; self.netlist.num_outputs()],
+            e_terms: vec![None; good.netlist.num_outputs()],
+            e_failed: vec![false; good.netlist.num_outputs()],
             e_all: None,
             e_all_failed: false,
         };
@@ -704,32 +725,21 @@ impl<'a> SymbolicFaultSim<'a> {
         // 3. Per-fault propagation and observation into staged updates.
         let mut updates: Vec<FaultUpdate> = Vec::new();
         let mut skipped = 0usize;
-        let mut diffs = Vec::new();
         for (i, rec) in self.records.iter().enumerate() {
             if rec.detection.is_some() {
                 continue;
             }
-            let seeds = rec
-                .state
-                .iter()
-                .zip(&self.true_state)
-                .enumerate()
-                .filter(|(_, (v, good))| v != good)
-                .map(|(ff, (v, _))| (ff, v.clone()));
             let faulty = self.sparse.propagate(
                 &values,
-                seeds,
+                rec.state.iter().cloned(),
                 rec.fault,
-                self.mgr.constant(rec.fault.stuck),
-                |kind, pins| eval_gate_bdd(&self.mgr, kind, pins),
+                good.mgr.constant(rec.fault.stuck),
+                |kind, pins| eval_gate_bdd(&good.mgr, kind, pins),
             )?;
             let (det, detection) =
-                frame.observe(self.strategy, &faulty, &rec.det, self.frame, &mut skipped)?;
-            faulty.next_state_diffs(&mut diffs);
-            let mut state = next_state.clone();
-            for (ff, v) in diffs.drain(..) {
-                state[ff] = v;
-            }
+                frame.observe(self.strategy, &faulty, &rec.det, good.frame, &mut skipped)?;
+            let mut state = Vec::new();
+            faulty.next_state_diffs(&mut state);
             updates.push(FaultUpdate {
                 index: i,
                 det,
@@ -755,25 +765,19 @@ impl<'a> SymbolicFaultSim<'a> {
             }
         }
         self.last_frame_events = frame_events;
-        self.values = values;
-        self.true_state = next_state;
-        self.frame += 1;
+        self.good.commit(values);
         self.degraded_terms += skipped;
         Ok(newly)
     }
 
     /// Primary-output functions of the most recent frame (fault-free).
     pub fn output_values(&self) -> Vec<Bdd> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()].clone())
-            .collect()
+        self.good.outputs()
     }
 
     /// Frames simulated so far.
     pub fn frames(&self) -> usize {
-        self.frame
+        self.good.frames()
     }
 }
 
@@ -1338,13 +1342,17 @@ mod tests {
         );
     }
 
+    /// Reseeding a fresh simulator from the three-valued projections gives
+    /// the same projections back. A fault added after `seed_true_state`
+    /// starts in the all-unknown state, so its stored differences from the
+    /// seeded fault-free state are non-empty from the start.
     #[test]
     fn project_and_reseed_round_trip() {
         let n = motsim_circuits::s27();
         let mut sim = SymbolicFaultSim::new(&n, Strategy::Rmot);
-        let faults = FaultList::collapsed(&n);
-        for f in faults.iter().take(5) {
-            sim.add_fault(*f);
+        let faults: Vec<Fault> = FaultList::collapsed(&n).iter().copied().collect();
+        for &f in &faults[..5] {
+            sim.add_fault(f);
         }
         let seq = TestSequence::random(&n, 10, 3);
         for v in &seq {
@@ -1352,15 +1360,62 @@ mod tests {
         }
         let ts = sim.true_state_v3();
         assert_eq!(ts.len(), 3);
+        assert!(ts.iter().any(|v| v.is_known()), "{ts:?}");
         let fs = sim.faulty_states_v3();
         assert!(fs.len() <= 5);
-        // Reseeding a fresh simulator from the projected states works.
         let mut sim2 = SymbolicFaultSim::new(&n, Strategy::Rmot);
         sim2.seed_true_state(&ts);
         for (f, st) in &fs {
             sim2.add_fault_with_state(*f, st);
         }
+        assert_eq!(sim2.true_state_v3(), ts);
+        assert_eq!(sim2.faulty_states_v3(), fs);
+
+        let late = faults[5];
+        sim2.add_fault(late);
+        assert!(!sim2.records.last().unwrap().state.is_empty());
+        let mut expected = fs.clone();
+        expected.push((late, vec![V3::X; 3]));
+        assert_eq!(sim2.faulty_states_v3(), expected);
         sim2.step(seq.vector(0)).unwrap();
+    }
+
+    /// After every step, committed or rolled back by the node limit, each
+    /// live fault's stored differences are strictly sorted by flip-flop
+    /// index and hold no entry equal to the fault-free state. A repeated
+    /// index or an equal entry would seed the sparse pass with a spurious
+    /// event and change the trace's `events` count.
+    #[test]
+    fn stored_differences_stay_sorted_and_distinct() {
+        let n = motsim_circuits::suite::by_name("g208").unwrap();
+        let seq = TestSequence::random(&n, 30, 0xDAC95);
+        let mut sim = SymbolicFaultSim::new(&n, Strategy::Mot);
+        sim.set_node_limit(Some(1_500));
+        for &f in FaultList::collapsed(&n).iter() {
+            sim.add_fault(f);
+        }
+        let (mut committed, mut rolled_back, mut entries) = (0, 0, 0);
+        for (t, v) in seq.iter().enumerate() {
+            match sim.step(v) {
+                Ok(_) => committed += 1,
+                Err(_) => rolled_back += 1,
+            }
+            for rec in sim.records.iter().filter(|r| r.detection.is_none()) {
+                let label = format!("frame {t}, {}", rec.fault.display(&n));
+                assert!(
+                    rec.state.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{label}: not strictly sorted"
+                );
+                for (i, v) in &rec.state {
+                    assert_ne!(v, &sim.good.state()[*i], "{label}: flip-flop {i}");
+                }
+                entries += rec.state.len();
+            }
+        }
+        assert!(
+            committed > 0 && rolled_back > 0 && entries > 0,
+            "{committed} committed, {rolled_back} rolled back, {entries} entries"
+        );
     }
 
     #[test]

@@ -143,26 +143,19 @@ pub fn find_synchronizing_sequence(netlist: &Netlist, config: SynchConfig) -> Op
     let mut sym = SymbolicTrueSim::new(netlist);
     let mut seq = TestSequence::empty(netlist);
     for _ in 0..config.max_len {
-        // Evaluate candidates by one-step lookahead on a scratch clone of
-        // the state (the simulator itself is advanced only by the winner).
-        let mut best: Option<(usize, Vec<bool>)> = None;
+        // Evaluate candidates by one-step lookahead (the simulator itself is
+        // advanced only by the winner's frame).
+        let mut best: Option<(usize, Vec<bool>, Vec<_>)> = None;
         for _ in 0..config.candidates.max(1) {
             let cand: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
-            let values =
-                crate::symbolic::eval_frame_bdd(netlist, sym.manager(), sym.state(), &cand)
-                    .expect("unlimited");
-            let known = netlist
-                .dffs()
-                .iter()
-                .map(|&q| &values[netlist.dff_d(q).index()])
-                .filter(|b| b.is_const())
-                .count();
-            if best.as_ref().map(|(k, _)| known > *k).unwrap_or(true) {
-                best = Some((known, cand));
+            let values = sym.eval(&cand).expect("unlimited");
+            let known = sym.next_state(&values).filter(|b| b.is_const()).count();
+            if best.as_ref().is_none_or(|(k, ..)| known > *k) {
+                best = Some((known, cand, values));
             }
         }
-        let (known, vector) = best.expect("at least one candidate");
-        sym.step(&vector).expect("unlimited");
+        let (known, vector, values) = best.expect("at least one candidate");
+        sym.commit(values);
         seq.push(vector);
         if known == m {
             return Some(seq);

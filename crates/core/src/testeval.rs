@@ -73,15 +73,7 @@ impl SymbolicOutputSequence {
             let mut sym = SymbolicTrueSim::with_manager(netlist, mgr);
             if t0 > 0 {
                 // Seed from the three-valued prefix state.
-                let state: Vec<Bdd> = v3
-                    .state()
-                    .iter()
-                    .zip(sym.xvars().to_vec())
-                    .map(|(&v, x)| match v.to_bool() {
-                        Some(b) => sym.manager().constant(b),
-                        None => sym.manager().var(x),
-                    })
-                    .collect();
+                let state = sym.lift(v3.state());
                 sym.seed_state(state);
             }
             let mut frames: Vec<Vec<Bdd>> = Vec::new();
