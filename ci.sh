@@ -161,6 +161,28 @@ table3_smoke 2 >"$TRACE_DIR/table3_j2.txt"
 diff "$TRACE_DIR/table3_j1.txt" "$TRACE_DIR/table3_j2.txt"
 grep -qE '^ +g526 +23 +569 +565 \| +\*29 +\*44 +\*0 \|$' "$TRACE_DIR/table3_j1.txt"
 
+echo "==> smoke: node-limit sweep (tables limits --quick)"
+# The one table that runs the hybrid engine directly, without sharding: MOT
+# on g420 and g526 at five node limits. With the time column stripped, every
+# row (detections, fallback frames, skipped terms) is pinned.
+cargo run --release -q -p motsim-cli --bin motsim -- tables limits --quick |
+  sed -E 's/ +[0-9.]+$//' >"$TRACE_DIR/limits.txt"
+diff - "$TRACE_DIR/limits.txt" <<'PINNED'
+
+Node-limit sweep: hybrid MOT on g420 / g526 (50 random vectors)
+    Circ.    limit    det  fb-frames  skipped  time[s]
+     g420      500      1         31        0
+     g420     2000      2          8        0
+     g420    10000      2          0        0
+     g420    30000      2          0        0
+     g420   120000      2          0        0
+     g526      500      0         50        0
+     g526     2000      0         50        0
+     g526    10000      0         50        0
+     g526    30000      0         50        0
+     g526   120000      0         46        0
+PINNED
+
 echo "==> smoke: test evaluation (g5378 testeval, Table IV)"
 # The default g5378 sequence pins its symbolic output sequence's size and
 # prefix, and where a one-bit corruption collapses the product. Table IV

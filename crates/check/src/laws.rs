@@ -21,7 +21,7 @@
 
 use crate::{forall, Config, Counterexample, SimCase};
 use motsim::engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};
-use motsim::exhaustive;
+use motsim::exhaustive::Oracle;
 use motsim::faults::FaultList;
 use motsim::hybrid::{HybridConfig, ReorderPolicy};
 use motsim::ordering::VarOrder;
@@ -160,15 +160,9 @@ fn run_engine(
 /// Engine verdicts equal the brute-force enumeration of all `2^m` initial
 /// states, strategy by strategy.
 fn oracle_agreement(case: &SimCase) -> Result<(), String> {
-    let good = exhaustive::ResponseMatrix::simulate(&case.netlist, &case.seq, None);
-    let verdicts: Vec<exhaustive::Verdict> = case
-        .faults
-        .iter()
-        .map(|&f| {
-            let bad = exhaustive::ResponseMatrix::simulate(&case.netlist, &case.seq, Some(f));
-            exhaustive::verdict_from(&good, &bad, case.seq.len(), case.netlist.num_outputs())
-        })
-        .collect();
+    let verdicts = Oracle::new()
+        .verdicts(&case.netlist, &case.seq, case.faults.iter().copied())
+        .map_err(|e| format!("oracle failed: {e}"))?;
     for strategy in Strategy::ALL {
         let outcome = run_engine(&SymbolicEngine, case, SimConfig::new().strategy(strategy))?;
         for (r, v) in outcome.results.iter().zip(&verdicts) {

@@ -61,16 +61,17 @@ pub struct Config {
     /// Master seed; case `i` runs on a seed mixed from this and `i`, so a
     /// failure report pins down the exact case independently of `cases`.
     pub seed: u64,
-    /// Budget of property re-evaluations the shrinker may spend.
-    pub max_shrink_evals: usize,
 }
+
+/// Budget of property re-evaluations the shrinker may spend on one
+/// counterexample.
+const MAX_SHRINK_EVALS: usize = 400;
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             cases: 24,
             seed: 0xDAC95,
-            max_shrink_evals: 400,
         }
     }
 }
@@ -130,8 +131,8 @@ pub fn case_seed(seed: u64, index: usize) -> u64 {
 ///
 /// Deterministic in `config.seed`: case `i` always sees the same RNG
 /// stream. On the first failing case the shrinker descends greedily
-/// through [`Shrinker::candidates`] (within `config.max_shrink_evals`
-/// property re-evaluations) and the minimal failure is returned.
+/// through [`Shrinker::candidates`] (within 400 property
+/// re-evaluations) and the minimal failure is returned.
 ///
 /// # Errors
 ///
@@ -158,7 +159,7 @@ where
             let mut evals = 0usize;
             'descend: loop {
                 for candidate in shrunk.candidates() {
-                    if evals >= config.max_shrink_evals {
+                    if evals >= MAX_SHRINK_EVALS {
                         break 'descend;
                     }
                     evals += 1;

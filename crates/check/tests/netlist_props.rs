@@ -4,7 +4,7 @@
 //! default offline `cargo test`.
 
 use motsim_check::{forall, Config, Shrinker};
-use motsim_netlist::analysis::{fanin_cone, fanout_cone, FfrMap};
+use motsim_netlist::analysis::{fanin_cone, fanout_cone};
 use motsim_netlist::builder::NetlistBuilder;
 use motsim_netlist::parse::parse_bench;
 use motsim_netlist::write::to_bench;
@@ -214,23 +214,6 @@ fn fanout_inverts_fanin() {
             ensure(n.fanout(id).len() == count, || {
                 "fanout count does not match fanin references".into()
             })?;
-        }
-        Ok(())
-    });
-}
-
-/// Every net's FFR head is a stem reachable through single-fanout links,
-/// and stems head themselves.
-#[test]
-fn ffr_heads_are_stems() {
-    check("ffr-heads-are-stems", |n| {
-        let ffr = FfrMap::new(n);
-        for id in n.net_ids() {
-            let head = ffr.head(id);
-            ensure(n.is_stem(head), || "FFR head is not a stem".into())?;
-            if n.is_stem(id) {
-                ensure(head == id, || "stem does not head itself".into())?;
-            }
         }
         Ok(())
     });

@@ -545,11 +545,7 @@ fn cmd_fuzz(opts: &Opts) {
         die("--max-dffs must be in 1..=16 (the oracle enumerates 2^m states)");
     }
 
-    let config = motsim_check::Config {
-        cases,
-        seed,
-        ..motsim_check::Config::default()
-    };
+    let config = motsim_check::Config { cases, seed };
     let reports = motsim_check::fuzz(&config, max_dffs);
     let laws = reports.len();
     let mut bad = 0usize;
@@ -767,7 +763,6 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
         TgenConfig {
             max_len: opts.max_len,
             seed: opts.seed,
-            ..TgenConfig::default()
         },
     );
     let outcome = FaultSim3::run(netlist, &seq, faults.iter().cloned());
@@ -788,7 +783,6 @@ fn cmd_synch(netlist: &Netlist, opts: &Opts) {
         SynchConfig {
             max_len: opts.max_len.min(256),
             seed: opts.seed,
-            ..SynchConfig::default()
         },
     ) {
         Some(seq) => {

@@ -272,7 +272,7 @@ impl FaultSimEngine for SymbolicEngine {
                 sim.add_fault(f);
             }
             for (t, v) in seq.iter().enumerate() {
-                if let Err(e) = sim.step_traced(v, sink) {
+                if let Err(e) = sim.step_traced(t, v, sink) {
                     if sink.enabled() {
                         let motsim_bdd::BddError::NodeLimit { limit } = e;
                         sink.event(&TraceEvent::NodeLimit { frame: t, limit });
@@ -285,9 +285,45 @@ impl FaultSimEngine for SymbolicEngine {
     }
 }
 
-/// The space-limited hybrid engine ([`hybrid::run_traced`]): honours every
-/// knob and never fails on node-limit pressure. An unset `node_limit`
-/// defaults to the paper's 30,000.
+/// The space-limited hybrid engine, the one way to run the hybrid
+/// simulator ([`crate::hybrid`]): honours every knob and never fails on
+/// node-limit pressure. An unset `node_limit` defaults to the paper's
+/// 30,000.
+///
+/// Its outcome's [`fallback_frames`](SimOutcome::fallback_frames) counts
+/// the frames that ran three-valued (non-zero ⇒ the tables' asterisk; the
+/// result is then a sound lower bound rather than the exact strategy
+/// coverage). Between [`TraceEvent::RunStart`] and [`TraceEvent::RunEnd`]
+/// the trace narrates the run frame by frame: [`TraceEvent::SymFrame`]s,
+/// [`TraceEvent::NodeLimit`] hits (each followed by one
+/// [`TraceEvent::SiftPass`] under [`ReorderPolicy::Sift`]) and fallback
+/// phases bracketed by [`TraceEvent::FallbackEnter`] /
+/// [`TraceEvent::FallbackExit`] around their [`TraceEvent::TvFrame`]s. All
+/// frame numbers are global to the run, so the exact fallback spans can be
+/// reconstructed from the stream; the `frames` fields of the
+/// `FallbackExit` events sum to the outcome's `fallback_frames`.
+///
+/// # Example
+///
+/// ```
+/// use motsim::engine_api::{FaultSimEngine, HybridEngine, SimConfig};
+/// use motsim::symbolic::Strategy;
+/// use motsim::{FaultList, TestSequence};
+///
+/// # fn main() -> Result<(), motsim::SimError> {
+/// let circuit = motsim_circuits::generators::counter(8);
+/// let faults: Vec<_> = FaultList::collapsed(&circuit).into_iter().collect();
+/// let seq = TestSequence::random(&circuit, 50, 1);
+/// let outcome = HybridEngine.run(
+///     &circuit,
+///     &seq,
+///     &faults,
+///     SimConfig::new().strategy(Strategy::Mot),
+/// )?;
+/// assert_eq!(outcome.frames, 50);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HybridEngine;
 
@@ -313,7 +349,7 @@ impl FaultSimEngine for HybridEngine {
                 netlist,
                 config.strategy,
                 seq,
-                faults.iter().copied(),
+                faults,
                 hybrid_config,
                 sink,
             ))
@@ -354,7 +390,7 @@ mod tests {
             &n,
             Strategy::Mot,
             &seq,
-            faults.iter().copied(),
+            &faults,
             HybridConfig::default(),
             &mut NullSink,
         );

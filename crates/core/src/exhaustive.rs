@@ -24,16 +24,14 @@ use crate::pattern::TestSequence;
 use crate::report::SimError;
 use crate::simb::{broadcast, eval_frame_u64, next_state_u64};
 
-/// Default enumeration bound (the oracle is `O(2^m)`); raise or lower it
-/// per call site with [`Oracle::max_dffs`].
+/// [`Oracle`]'s default enumeration bound (the oracle is `O(2^m)`); raise
+/// or lower it per call site with [`Oracle::max_dffs`].
 pub const MAX_DFFS: usize = 20;
 
-/// Configurable entry point to the exhaustive oracle.
+/// The entry point to the exhaustive oracle.
 ///
-/// The free functions ([`verdict`], [`ResponseMatrix::simulate`]) panic
-/// when a circuit exceeds [`MAX_DFFS`]; this builder makes the bound a
-/// parameter and reports the overflow as a recoverable
-/// [`SimError::StateSpace`] instead.
+/// The flip-flop bound is a parameter (default [`MAX_DFFS`]), and a
+/// circuit that exceeds it is a recoverable [`SimError::StateSpace`].
 ///
 /// ```
 /// use motsim::exhaustive::Oracle;
@@ -99,7 +97,7 @@ impl Oracle {
         fault: Option<Fault>,
     ) -> Result<ResponseMatrix, SimError> {
         self.check(netlist)?;
-        Ok(ResponseMatrix::simulate_unchecked(netlist, seq, fault))
+        Ok(ResponseMatrix::simulate(netlist, seq, fault))
     }
 
     /// Detectability of `fault` under all three strategies.
@@ -114,10 +112,31 @@ impl Oracle {
         seq: &TestSequence,
         fault: Fault,
     ) -> Result<Verdict, SimError> {
-        self.check(netlist)?;
-        let good = ResponseMatrix::simulate_unchecked(netlist, seq, None);
-        let bad = ResponseMatrix::simulate_unchecked(netlist, seq, Some(fault));
-        Ok(verdict_from(&good, &bad, seq.len(), netlist.num_outputs()))
+        Ok(self.verdicts(netlist, seq, [fault])?[0])
+    }
+
+    /// Detectability of each of `faults` under all three strategies, in
+    /// order: the fault-free response matrix is simulated once, then one
+    /// faulty matrix per fault.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`SimError::StateSpace`] when the circuit has more
+    /// flip-flops than this oracle's bound.
+    pub fn verdicts(
+        &self,
+        netlist: &Netlist,
+        seq: &TestSequence,
+        faults: impl IntoIterator<Item = Fault>,
+    ) -> Result<Vec<Verdict>, SimError> {
+        let good = self.response_matrix(netlist, seq, None)?;
+        Ok(faults
+            .into_iter()
+            .map(|f| {
+                let bad = ResponseMatrix::simulate(netlist, seq, Some(f));
+                verdict_from(&good, &bad, seq.len(), netlist.num_outputs())
+            })
+            .collect())
     }
 }
 
@@ -133,24 +152,9 @@ pub struct ResponseMatrix {
 
 impl ResponseMatrix {
     /// Simulates all `2^m` initial states of `netlist` (with `fault`
-    /// injected if given) over `seq`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more than [`MAX_DFFS`] flip-flops (use
-    /// [`Oracle`] for a configurable bound and a recoverable error).
-    pub fn simulate(netlist: &Netlist, seq: &TestSequence, fault: Option<Fault>) -> Self {
-        let m = netlist.num_dffs();
-        assert!(
-            m <= MAX_DFFS,
-            "exhaustive oracle limited to {MAX_DFFS} flip-flops"
-        );
-        Self::simulate_unchecked(netlist, seq, fault)
-    }
-
-    /// [`simulate`](Self::simulate) without the bound check — callers
-    /// ([`Oracle`]) have already validated the state-space size.
-    fn simulate_unchecked(netlist: &Netlist, seq: &TestSequence, fault: Option<Fault>) -> Self {
+    /// injected if given) over `seq`; [`Oracle`] has checked `m` against
+    /// its bound.
+    fn simulate(netlist: &Netlist, seq: &TestSequence, fault: Option<Fault>) -> Self {
         let m = netlist.num_dffs();
         let states: usize = 1 << m;
         let l = netlist.num_outputs();
@@ -238,18 +242,6 @@ pub struct Verdict {
     pub mot: bool,
 }
 
-/// Decides detectability of `fault` under all three strategies by
-/// exhaustive enumeration.
-///
-/// # Panics
-///
-/// Panics if the circuit has more than [`MAX_DFFS`] flip-flops.
-pub fn verdict(netlist: &Netlist, seq: &TestSequence, fault: Fault) -> Verdict {
-    let good = ResponseMatrix::simulate(netlist, seq, None);
-    let bad = ResponseMatrix::simulate(netlist, seq, Some(fault));
-    verdict_from(&good, &bad, seq.len(), netlist.num_outputs())
-}
-
 /// Decides detectability given precomputed response matrices (lets callers
 /// reuse the fault-free matrix across faults).
 pub fn verdict_from(
@@ -308,7 +300,7 @@ mod tests {
         // disjoint -> MOT detects. No constant fault-free point -> SOT and
         // rMOT cannot.
         let (n, f, seq) = fig3();
-        let v = verdict(&n, &seq, f);
+        let v = Oracle::new().verdict(&n, &seq, f).unwrap();
         assert!(v.mot);
         assert!(!v.sot);
         assert!(!v.rmot);
@@ -318,7 +310,7 @@ mod tests {
     fn single_frame_is_not_enough_for_fig3() {
         let (n, f, _) = fig3();
         let seq = TestSequence::new(1, vec![vec![true]]);
-        let v = verdict(&n, &seq, f);
+        let v = Oracle::new().verdict(&n, &seq, f).unwrap();
         // good rows {x} = {0,1}; bad rows {ȳ} = {0,1}: intersect.
         assert!(!v.mot);
     }
@@ -328,10 +320,11 @@ mod tests {
         // Strategy containment on a batch of faults of s27.
         let n = motsim_circuits::s27();
         let seq = TestSequence::random(&n, 12, 9);
-        let good = ResponseMatrix::simulate(&n, &seq, None);
-        for fault in crate::faults::FaultList::collapsed(&n).iter() {
-            let bad = ResponseMatrix::simulate(&n, &seq, Some(*fault));
-            let v = verdict_from(&good, &bad, seq.len(), n.num_outputs());
+        let faults = crate::faults::FaultList::collapsed(&n);
+        let verdicts = Oracle::new()
+            .verdicts(&n, &seq, faults.iter().copied())
+            .unwrap();
+        for (fault, v) in faults.iter().zip(verdicts) {
             if v.sot {
                 assert!(v.rmot, "SOT ⊆ rMOT violated for {}", fault.display(&n));
             }
@@ -349,17 +342,17 @@ mod tests {
         let seq = TestSequence::random(&n, 16, 21);
         let faults = crate::faults::FaultList::collapsed(&n);
         let outcome = crate::sim3::FaultSim3::run(&n, &seq, faults.iter().cloned());
-        let good = ResponseMatrix::simulate(&n, &seq, None);
-        for r in &outcome.results {
-            if r.detection.is_some() {
-                let bad = ResponseMatrix::simulate(&n, &seq, Some(r.fault));
-                let v = verdict_from(&good, &bad, seq.len(), n.num_outputs());
-                assert!(
-                    v.sot,
-                    "3-valued detected {} but SOT oracle disagrees",
-                    r.fault.display(&n)
-                );
-            }
+        let detected: Vec<Fault> = outcome.detected_faults().collect();
+        let verdicts = Oracle::new()
+            .verdicts(&n, &seq, detected.iter().copied())
+            .unwrap();
+        assert!(!detected.is_empty());
+        for (fault, v) in detected.iter().zip(verdicts) {
+            assert!(
+                v.sot,
+                "3-valued detected {} but SOT oracle disagrees",
+                fault.display(&n)
+            );
         }
     }
 
@@ -390,9 +383,8 @@ mod tests {
         let f = Fault::stuck_at_1(Lead::stem(n.find("CLR").unwrap()));
 
         // Default bound (20) and an exactly-fitting bound both work and
-        // agree with the panicking free function.
-        let reference = verdict(&n, &seq, f);
-        assert_eq!(Oracle::new().verdict(&n, &seq, f).unwrap(), reference);
+        // agree.
+        let reference = Oracle::new().verdict(&n, &seq, f).unwrap();
         assert_eq!(
             Oracle::new().max_dffs(5).verdict(&n, &seq, f).unwrap(),
             reference

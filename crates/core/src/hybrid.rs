@@ -24,6 +24,15 @@
 //! and one collected attempt before the fallback begins. The sifting retry
 //! of [`ReorderPolicy::Sift`] starts from the collected arena the pass
 //! leaves behind.
+//!
+//! The driver is crate-private: [`HybridEngine`](crate::engine_api::HybridEngine)
+//! is the one way to run it, configured through
+//! [`SimConfig`](crate::engine_api::SimConfig) or, for the parallel engine,
+//! a [`HybridConfig`]. The driver owns the run's frame clock. Both fault
+//! simulators count their detections from their own first step and number
+//! their trace frames as the driver tells them.
+
+use std::collections::HashMap;
 
 use motsim_bdd::BddError;
 use motsim_logic::V3;
@@ -76,58 +85,40 @@ impl Default for HybridConfig {
 /// Projected three-valued states carried between hybrid phases.
 type Carry = (Vec<V3>, Vec<(Fault, Vec<V3>)>);
 
+/// Folds a phase's newly detected faults into the run's `detections`. Both
+/// fault simulators count a detection's frame from the phase's first step,
+/// so the run's frame is `phase_start + d.frame`; the earliest one wins.
+fn fold(
+    detections: &mut HashMap<Fault, Detection>,
+    phase_start: usize,
+    newly: Vec<(Fault, Detection)>,
+) {
+    for (fault, d) in newly {
+        detections.entry(fault).or_insert(Detection {
+            frame: phase_start + d.frame,
+            output: d.output,
+        });
+    }
+}
+
 /// Runs the hybrid simulation of `faults` over `seq` under `strategy`,
-/// reporting runtime telemetry to `sink`.
+/// reporting runtime telemetry to `sink`: the driver behind
+/// [`HybridEngine`](crate::engine_api::HybridEngine), whose docs give the
+/// outcome and trace contract. With a
+/// [`NullSink`](motsim_trace::NullSink) the run does no trace work at all.
 ///
-/// Never fails: node-limit pressure is absorbed by three-valued fallback
-/// phases. The returned outcome's
-/// [`fallback_frames`](SimOutcome::fallback_frames) counts the frames that
-/// ran three-valued (non-zero ⇒ the tables' asterisk; the result is then a
-/// sound lower bound rather than the exact strategy coverage).
-///
-/// The trace narrates the paper's space battle frame by frame: each
-/// symbolic frame is a [`TraceEvent::SymFrame`], a limit hit is a
-/// [`TraceEvent::NodeLimit`] (followed by a [`TraceEvent::SiftPass`] when
-/// the reorder policy retries), and every fallback phase is bracketed by
-/// [`TraceEvent::FallbackEnter`]/[`TraceEvent::FallbackExit`] with its
-/// [`TraceEvent::TvFrame`]s in between. All frame numbers are global to the
-/// run, so the exact fallback spans can be reconstructed from the stream;
-/// the `frames` fields of the `FallbackExit` events sum to the outcome's
-/// `fallback_frames`. With a [`NullSink`](motsim_trace::NullSink) the run
-/// does no trace work at all.
-///
-/// # Example
-///
-/// ```
-/// use motsim::hybrid::{run_traced, HybridConfig};
-/// use motsim::symbolic::Strategy;
-/// use motsim::{FaultList, TestSequence};
-/// use motsim_trace::NullSink;
-///
-/// let circuit = motsim_circuits::generators::counter(8);
-/// let faults = FaultList::collapsed(&circuit);
-/// let seq = TestSequence::random(&circuit, 50, 1);
-/// let outcome = run_traced(
-///     &circuit,
-///     Strategy::Mot,
-///     &seq,
-///     faults.iter().cloned(),
-///     HybridConfig::default(),
-///     &mut NullSink,
-/// );
-/// assert_eq!(outcome.frames, 50);
-/// ```
-pub fn run_traced(
+/// The driver owns the run's frame clock `t`: it hands each step its
+/// global frame number for the trace, and folds every phase's detections,
+/// which count from that phase's start, with one rule ([`fold`]).
+pub(crate) fn run_traced(
     netlist: &Netlist,
     strategy: Strategy,
     seq: &TestSequence,
-    faults: impl IntoIterator<Item = Fault>,
+    faults: &[Fault],
     config: HybridConfig,
     sink: &mut dyn TraceSink,
 ) -> SimOutcome {
-    let order: Vec<Fault> = faults.into_iter().collect();
-    let mut detections: std::collections::HashMap<Fault, Detection> =
-        std::collections::HashMap::new();
+    let mut detections: HashMap<Fault, Detection> = HashMap::new();
 
     let mut t = 0usize;
     let mut fallback_total = 0usize;
@@ -142,10 +133,9 @@ pub fn run_traced(
         // ---- Symbolic phase ----
         let mut sym = SymbolicFaultSim::new(netlist, strategy);
         sym.set_node_limit(Some(config.node_limit));
-        sym.set_trace_frame_offset(t);
         match &carry {
             None => {
-                for &f in &order {
+                for &f in faults {
                     sym.add_fault(f);
                 }
             }
@@ -162,9 +152,8 @@ pub fn run_traced(
             }
         }
         let phase_start = t;
-        let mut progressed = 0usize;
         while t < seq.len() {
-            let mut step = sym.step_traced(seq.vector(t), sink);
+            let mut step = sym.step_traced(t, seq.vector(t), sink);
             if let Err(BddError::NodeLimit { limit }) = step {
                 if sink.enabled() {
                     sink.event(&TraceEvent::NodeLimit { frame: t, limit });
@@ -175,31 +164,18 @@ pub fn run_traced(
                     // cannot fit does the phase end (and the lossy
                     // projection begin).
                     sym.reorder_sift_traced(sink);
-                    step = sym.step_traced(seq.vector(t), sink);
+                    step = sym.step_traced(t, seq.vector(t), sink);
                 }
             }
             match step {
-                Ok(_newly) => {
-                    // Detections are folded in from the phase outcome below,
-                    // which carries the real frame *and* output per fault.
+                Ok(newly) => {
+                    fold(&mut detections, phase_start, newly);
                     t += 1;
-                    progressed += 1;
                 }
                 Err(BddError::NodeLimit { .. }) => break,
             }
         }
-        // Fold in exact per-output detection info from the phase outcome,
-        // keeping the earliest recorded detection for each fault.
-        let phase_outcome = sym.outcome();
-        bdd_total.absorb(&phase_outcome.bdd);
-        for r in phase_outcome.results {
-            if let Some(d) = r.detection {
-                detections.entry(r.fault).or_insert(Detection {
-                    frame: phase_start + d.frame,
-                    output: d.output,
-                });
-            }
-        }
+        bdd_total.absorb(&BddUsage::from_stats(&sym.manager().stats()));
         degraded_total += sym.degraded_terms();
         if t >= seq.len() {
             break;
@@ -213,7 +189,7 @@ pub fn run_traced(
         // tolerated (a later, better-synchronized state may fit the limit);
         // a persistent pattern means the limit is simply too small for this
         // circuit, and the remainder runs three-valued.
-        if progressed == 0 && carry.is_some() {
+        if t == phase_start && carry.is_some() {
             zero_progress_phases += 1;
         } else {
             zero_progress_phases = 0;
@@ -228,17 +204,9 @@ pub fn run_traced(
         }
         let fallback_start = t;
         let mut tv = FaultSim3::with_states(netlist, &true_v3, faulty_v3);
-        tv.set_trace_frame_offset(t);
         for _ in 0..frames_here {
-            let newly = tv.step_traced(seq.vector(t), sink);
-            for (f, d) in newly {
-                // `d.frame` is relative to this fallback's start; `t` is the
-                // same instant in global frames. The output index is real.
-                detections.entry(f).or_insert(Detection {
-                    frame: t,
-                    output: d.output,
-                });
-            }
+            let newly = tv.step_traced(t, seq.vector(t), sink);
+            fold(&mut detections, fallback_start, newly);
             t += 1;
         }
         if sink.enabled() {
@@ -252,7 +220,7 @@ pub fn run_traced(
     }
 
     let mut outcome = SimOutcome {
-        results: order
+        results: faults
             .iter()
             .map(|&fault| FaultOutcome {
                 fault,
@@ -283,7 +251,8 @@ mod tests {
         faults: impl IntoIterator<Item = Fault>,
         config: HybridConfig,
     ) -> SimOutcome {
-        run_traced(netlist, strategy, seq, faults, config, &mut NullSink)
+        let faults: Vec<Fault> = faults.into_iter().collect();
+        run_traced(netlist, strategy, seq, &faults, config, &mut NullSink)
     }
 
     #[test]
@@ -475,6 +444,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Under [`ReorderPolicy::Sift`] a limit hit at frame `t` emits one
+    /// `node_limit` and one `sift_pass`, then the retry's outcome: a
+    /// `sym_frame` at `t` when the reordered graph fits, a `fallback_enter`
+    /// at `t` when it does not. A failed retry emits no second
+    /// `node_limit`. The run (g208, MOT, 1,500 nodes) has retries of both
+    /// kinds, and its per-kind event counts are pinned.
+    #[test]
+    fn sift_retry_event_order() {
+        use crate::engine_api::{FaultSimEngine, HybridEngine, SimConfig};
+        use motsim_trace::CollectSink;
+        use std::collections::{BTreeMap, HashSet};
+
+        let n = motsim_circuits::suite::by_name("g208").unwrap();
+        let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
+        let seq = TestSequence::random(&n, 40, 3);
+        let mut sink = CollectSink::new();
+        let config = SimConfig::new()
+            .strategy(Strategy::Mot)
+            .node_limit(Some(1_500))
+            .reorder(ReorderPolicy::Sift);
+        HybridEngine
+            .run(&n, &seq, &faults, config.sink(&mut sink))
+            .unwrap();
+        let events = sink.events();
+        let (mut rescued, mut failed) = (0, 0);
+        let mut hit_frames = HashSet::new();
+        for (i, event) in events.iter().enumerate() {
+            let TraceEvent::NodeLimit { frame: t, .. } = *event else {
+                continue;
+            };
+            assert!(hit_frames.insert(t), "second node_limit at frame {t}");
+            assert_eq!(events[i + 1].tag(), "sift_pass", "frame {t}");
+            match events[i + 2] {
+                TraceEvent::SymFrame { frame, .. } if frame == t => rescued += 1,
+                TraceEvent::FallbackEnter { frame } if frame == t => failed += 1,
+                ref other => panic!("frame {t}: {other:?} after the sift_pass"),
+            }
+        }
+        assert!(
+            rescued > 0 && failed > 0,
+            "{rescued} rescued and {failed} failed retries"
+        );
+        let mut counts = BTreeMap::new();
+        for event in events {
+            *counts.entry(event.tag()).or_insert(0) += 1;
+        }
+        let pinned = [
+            ("fallback_enter", 1),
+            ("fallback_exit", 1),
+            ("node_limit", 2),
+            ("run_end", 1),
+            ("run_start", 1),
+            ("sift_pass", 2),
+            ("sym_frame", 32),
+            ("tv_frame", 8),
+        ];
+        assert_eq!(counts, BTreeMap::from(pinned));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!    `D_{f,Z}(x,y)` and event-driven single-fault propagation.
 //! 5. [`hybrid`] — the space-limited hybrid simulator that falls back to
 //!    three-valued simulation when the OBDD node limit is exceeded and
-//!    resumes symbolically afterwards.
+//!    resumes symbolically afterwards; run it through
+//!    [`HybridEngine`].
 //! 6. [`testeval`] — symbolic test evaluation (Section IV.B, Table IV).
 //! 7. [`tgen`] — fault-simulation-guided generation of compact
 //!    ("deterministic") test sequences for Table III.

@@ -375,7 +375,6 @@ pub(crate) fn run_on(
 pub struct FaultSim3<'a> {
     truesim: TrueSim<'a>,
     machines: Machines<'a>,
-    trace_offset: usize,
 }
 
 impl<'a> FaultSim3<'a> {
@@ -384,17 +383,7 @@ impl<'a> FaultSim3<'a> {
         FaultSim3 {
             truesim: TrueSim::new(netlist),
             machines: Machines::new(netlist, faults),
-            trace_offset: 0,
         }
-    }
-
-    /// Sets the offset added to the internal frame counter when labelling
-    /// trace events (the simulation itself is unaffected). The hybrid
-    /// simulator, which builds a fresh `FaultSim3` per fallback phase, sets
-    /// this to the phase's global start frame so [`TraceEvent::TvFrame`]
-    /// events number frames of the whole run, not of the phase.
-    pub fn set_trace_frame_offset(&mut self, offset: usize) {
-        self.trace_offset = offset;
     }
 
     /// Creates a simulator whose fault-free and faulty machines start from
@@ -472,9 +461,8 @@ impl<'a> FaultSim3<'a> {
 
     /// Applies one input vector to the fault-free machine and every live
     /// faulty machine; returns the faults newly detected in this frame,
-    /// each with its full [`Detection`] (frame plus the detecting output),
-    /// so callers embedding this engine — the hybrid's fallback phases in
-    /// particular — can report the real output index.
+    /// each with its full [`Detection`]: the frame, counted from this
+    /// simulator's first step, and the detecting output.
     ///
     /// # Panics
     ///
@@ -485,20 +473,17 @@ impl<'a> FaultSim3<'a> {
     }
 
     /// Like [`step`](Self::step), additionally reporting the frame to
-    /// `sink` as one [`TraceEvent::TvFrame`] (see
-    /// [`set_trace_frame_offset`](Self::set_trace_frame_offset) for how the
-    /// frame number is formed).
+    /// `sink` as one [`TraceEvent::TvFrame`] numbered `frame`, which the
+    /// caller's clock gives (the hybrid simulator passes the frame's number
+    /// in the whole run).
     pub fn step_traced(
         &mut self,
+        frame: usize,
         inputs: &[bool],
         sink: &mut dyn TraceSink,
     ) -> Vec<(Fault, Detection)> {
         let newly = self.step(inputs);
-        trace_frame(
-            sink,
-            self.trace_offset + self.machines.frame - 1,
-            newly.len(),
-        );
+        trace_frame(sink, frame, newly.len());
         newly
     }
 }
@@ -671,13 +656,13 @@ mod tests {
     /// exhaustive oracle's fault-free and faulty responses from `r` differ,
     /// and not at all where they never differ.
     fn known_state_matches_oracle(netlist: &Netlist, seed: u64) {
-        use crate::exhaustive::ResponseMatrix;
+        let oracle = crate::exhaustive::Oracle::new();
         let seq = TestSequence::random(netlist, 40, seed);
         let faults: Vec<Fault> = FaultList::collapsed(netlist).iter().copied().collect();
-        let good = ResponseMatrix::simulate(netlist, &seq, None);
+        let good = oracle.response_matrix(netlist, &seq, None).unwrap();
         let bad: Vec<_> = faults
             .iter()
-            .map(|&f| ResponseMatrix::simulate(netlist, &seq, Some(f)))
+            .map(|&f| oracle.response_matrix(netlist, &seq, Some(f)).unwrap())
             .collect();
         let l = netlist.num_outputs();
         for r in 0..good.num_states() {

@@ -298,7 +298,8 @@ struct SymFaultRecord {
 ///
 /// Construct with [`new`](Self::new), add faults, then drive it frame by
 /// frame ([`step`](Self::step)) or with [`run`](Self::run). For the
-/// space-limited hybrid wrapper see [`crate::hybrid::run_traced`].
+/// space-limited hybrid simulator see
+/// [`HybridEngine`](crate::engine_api::HybridEngine).
 ///
 /// The fault-free machine is an owned [`SymbolicTrueSim`]. Each faulty
 /// machine is stored as the sorted differences of its state from the
@@ -334,7 +335,6 @@ pub struct SymbolicFaultSim<'a> {
     records: Vec<SymFaultRecord>,
     sparse: Sparse<'a, Bdd>,
     degraded_terms: usize,
-    trace_offset: usize,
     last_frame_events: usize,
     /// Nodes the manager allocated during the previous [`step`](Self::step)
     /// call: the collect-first predictor's input.
@@ -425,20 +425,9 @@ impl<'a> SymbolicFaultSim<'a> {
             records: Vec::new(),
             sparse: Sparse::new(netlist),
             degraded_terms: 0,
-            trace_offset: 0,
             last_frame_events: 0,
             last_frame_created: 0,
         }
-    }
-
-    /// Sets the offset added to the internal frame counter when labelling
-    /// trace events (the simulation itself is unaffected). The hybrid
-    /// simulator, which builds a fresh `SymbolicFaultSim` per symbolic
-    /// phase, sets this to the phase's global start frame so
-    /// [`TraceEvent::SymFrame`] events number frames of the whole run, not
-    /// of the phase.
-    pub fn set_trace_frame_offset(&mut self, offset: usize) {
-        self.trace_offset = offset;
     }
 
     /// Sets the live-node limit of the underlying manager (the paper uses
@@ -580,7 +569,8 @@ impl<'a> SymbolicFaultSim<'a> {
     /// # Errors
     ///
     /// Fails with [`BddError::NodeLimit`] if a node limit is configured and
-    /// hit (use [`crate::hybrid::run_traced`] to survive that).
+    /// hit (use [`HybridEngine`](crate::engine_api::HybridEngine) to
+    /// survive that).
     pub fn run(
         mut self,
         seq: &TestSequence,
@@ -596,7 +586,9 @@ impl<'a> SymbolicFaultSim<'a> {
     }
 
     /// Applies one input vector to the fault-free machine and all live
-    /// faulty machines; returns the newly detected faults.
+    /// faulty machines; returns the faults newly detected in this frame,
+    /// each with its [`Detection`]. Its frame counts from this simulator's
+    /// first step, as in [`FaultSim3::step`](crate::sim3::FaultSim3::step).
     ///
     /// Under a node limit, the frame's outcome is that of one attempt that
     /// starts from a collected arena; it falls back iff it does not fit
@@ -634,7 +626,7 @@ impl<'a> SymbolicFaultSim<'a> {
     /// # Errors
     ///
     /// Fails with [`BddError::NodeLimit`] as described above.
-    pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
+    pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<(Fault, Detection)>, BddError> {
         let Some(limit) = self.manager().node_limit() else {
             let newly = self.step_attempt(inputs, Attempt::Collected)?;
             if self.manager().live_nodes() > UNLIMITED_GC_THRESHOLD {
@@ -672,7 +664,9 @@ impl<'a> SymbolicFaultSim<'a> {
     }
 
     /// Like [`step`](Self::step), additionally reporting a successful frame
-    /// to `sink` as one [`TraceEvent::SymFrame`] carrying the manager's
+    /// to `sink` as one [`TraceEvent::SymFrame`]. The event is numbered
+    /// `frame`, which the caller's clock gives (the hybrid simulator passes
+    /// the frame's number in the whole run), and carries the manager's
     /// live/peak node counts, its cumulative ITE-cache and GC counters, the
     /// fault events propagated (total nets of faulty machines that diverged
     /// from the fault-free frame) and the faults newly detected. A failed step
@@ -684,14 +678,15 @@ impl<'a> SymbolicFaultSim<'a> {
     /// Fails with [`BddError::NodeLimit`] exactly as [`step`](Self::step).
     pub fn step_traced(
         &mut self,
+        frame: usize,
         inputs: &[bool],
         sink: &mut dyn TraceSink,
-    ) -> Result<Vec<Fault>, BddError> {
+    ) -> Result<Vec<(Fault, Detection)>, BddError> {
         let newly = self.step(inputs)?;
         if sink.enabled() {
             let stats = self.manager().stats();
             sink.event(&TraceEvent::SymFrame {
-                frame: self.trace_offset + self.frames() - 1,
+                frame,
                 live: stats.live_nodes,
                 peak: stats.peak_live_nodes,
                 hits: stats.cache_hits,
@@ -704,7 +699,11 @@ impl<'a> SymbolicFaultSim<'a> {
         Ok(newly)
     }
 
-    fn step_attempt(&mut self, inputs: &[bool], attempt: Attempt) -> Result<Vec<Fault>, BddError> {
+    fn step_attempt(
+        &mut self,
+        inputs: &[bool],
+        attempt: Attempt,
+    ) -> Result<Vec<(Fault, Detection)>, BddError> {
         // 1. Fault-free frame.
         let good = &self.good;
         let values = good.eval(inputs)?;
@@ -760,7 +759,7 @@ impl<'a> SymbolicFaultSim<'a> {
             if rec.detection.is_none() {
                 if let Some(d) = u.detection {
                     rec.detection = Some(d);
-                    newly.push(rec.fault);
+                    newly.push((rec.fault, d));
                 }
             }
         }
@@ -768,11 +767,6 @@ impl<'a> SymbolicFaultSim<'a> {
         self.good.commit(values);
         self.degraded_terms += skipped;
         Ok(newly)
-    }
-
-    /// Primary-output functions of the most recent frame (fault-free).
-    pub fn output_values(&self) -> Vec<Bdd> {
-        self.good.outputs()
     }
 
     /// Frames simulated so far.
@@ -960,7 +954,7 @@ impl FrameCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive::{verdict_from, ResponseMatrix};
+    use crate::exhaustive::Oracle;
     use crate::faults::FaultList;
     use motsim_netlist::Lead;
     use motsim_rng::SmallRng;
@@ -969,12 +963,9 @@ mod tests {
     /// enumeration for every collapsed fault.
     fn assert_matches_oracle(netlist: &Netlist, seq: &TestSequence) {
         let faults = FaultList::collapsed(netlist);
-        let good = ResponseMatrix::simulate(netlist, seq, None);
-        let mut oracle = Vec::new();
-        for f in faults.iter() {
-            let bad = ResponseMatrix::simulate(netlist, seq, Some(*f));
-            oracle.push(verdict_from(&good, &bad, seq.len(), netlist.num_outputs()));
-        }
+        let oracle = Oracle::new()
+            .verdicts(netlist, seq, faults.iter().copied())
+            .unwrap();
         for strategy in Strategy::ALL {
             let outcome = SymbolicFaultSim::new(netlist, strategy)
                 .run(seq, faults.iter().cloned())
@@ -1250,8 +1241,7 @@ mod tests {
                 ..Default::default()
             };
             let mut sink = CollectSink::new();
-            let mut outcome =
-                run_traced(n, strategy, seq, faults.iter().copied(), config, &mut sink);
+            let mut outcome = run_traced(n, strategy, seq, faults, config, &mut sink);
             FORCE_COLLECT_FIRST.with(|f| f.set(None));
             outcome.bdd = BddUsage::default();
             (outcome, sink.events().iter().map(logical).collect())

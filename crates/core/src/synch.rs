@@ -13,7 +13,6 @@
 //! classes of circuits of \[11\] synchronize symbolically but never
 //! three-valued.
 
-use motsim_bdd::BddError;
 use motsim_netlist::Netlist;
 use motsim_rng::SmallRng;
 
@@ -76,43 +75,29 @@ impl SynchronizationProfile {
 /// assert!(synch::profile(&circuit, &clear).synchronizes());
 /// ```
 pub fn profile(netlist: &Netlist, seq: &TestSequence) -> SynchronizationProfile {
-    profile_with_limit(netlist, seq, None).expect("unlimited run cannot fail")
-}
-
-/// [`profile`] under an optional BDD node limit.
-///
-/// # Errors
-///
-/// Fails with [`BddError::NodeLimit`] if the limit is exceeded.
-pub fn profile_with_limit(
-    netlist: &Netlist,
-    seq: &TestSequence,
-    node_limit: Option<usize>,
-) -> Result<SynchronizationProfile, BddError> {
-    let mgr = motsim_bdd::BddManager::new();
-    mgr.set_node_limit(node_limit);
-    let mut sym = SymbolicTrueSim::with_manager(netlist, mgr);
+    let mut sym = SymbolicTrueSim::new(netlist);
     let mut v3 = TrueSim::new(netlist);
     let mut known_v3 = Vec::with_capacity(seq.len());
     let mut known_symbolic = Vec::with_capacity(seq.len());
     for v in seq {
-        sym.step(v)?;
+        sym.step(v).expect("unlimited run cannot fail");
         v3.step(v);
         known_v3.push(v3.state().iter().filter(|x| x.is_known()).count());
         known_symbolic.push(sym.state().iter().filter(|b| b.is_const()).count());
     }
-    Ok(SynchronizationProfile {
+    SynchronizationProfile {
         dffs: netlist.num_dffs(),
         known_v3,
         known_symbolic,
-    })
+    }
 }
+
+/// Candidate vectors the synchronizing-sequence search scores per frame.
+const CANDIDATES: usize = 16;
 
 /// Configuration of the synchronizing-sequence search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynchConfig {
-    /// Candidate vectors per frame.
-    pub candidates: usize,
     /// Give up after this many frames.
     pub max_len: usize,
     /// RNG seed.
@@ -122,7 +107,6 @@ pub struct SynchConfig {
 impl Default for SynchConfig {
     fn default() -> Self {
         SynchConfig {
-            candidates: 16,
             max_len: 64,
             seed: 0x5EED,
         }
@@ -130,8 +114,9 @@ impl Default for SynchConfig {
 }
 
 /// Greedily searches for a synchronizing sequence: each frame commits the
-/// candidate vector that maximises the number of *symbolically* constant
-/// state bits. Returns the sequence if full synchronization was reached.
+/// one of 16 random candidate vectors that maximises the number of
+/// *symbolically* constant state bits. Returns the sequence if full
+/// synchronization was reached.
 ///
 /// Because the score is exact (BDD constancy, not three-valued
 /// knowledge), this finds synchronizing sequences for the circuit classes
@@ -146,7 +131,7 @@ pub fn find_synchronizing_sequence(netlist: &Netlist, config: SynchConfig) -> Op
         // Evaluate candidates by one-step lookahead (the simulator itself is
         // advanced only by the winner's frame).
         let mut best: Option<(usize, Vec<bool>, Vec<_>)> = None;
-        for _ in 0..config.candidates.max(1) {
+        for _ in 0..CANDIDATES {
             let cand: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
             let values = sym.eval(&cand).expect("unlimited");
             let known = sym.next_state(&values).filter(|b| b.is_const()).count();
@@ -253,14 +238,5 @@ mod tests {
         for (s, v) in p.known_symbolic.iter().zip(&p.known_v3) {
             assert!(s >= v);
         }
-    }
-
-    #[test]
-    fn profile_with_limit_can_fail() {
-        let n = counter(16);
-        let seq = TestSequence::random(&n, 20, 1);
-        // Absurdly small limit: symbolic profiling must fail cleanly.
-        let r = profile_with_limit(&n, &seq, Some(4));
-        assert!(r.is_err());
     }
 }

@@ -15,15 +15,18 @@ use crate::faults::Fault;
 use crate::pattern::TestSequence;
 use crate::sim3::FaultSim3;
 
+/// Candidate vectors scored per round.
+const CANDIDATES: usize = 8;
+
+/// The generator stops after this many consecutive rounds without a new
+/// detection.
+const STALL_ROUNDS: usize = 12;
+
 /// Parameters of the greedy generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TgenConfig {
-    /// Candidate vectors scored per round.
-    pub candidates: usize,
     /// Hard length cap.
     pub max_len: usize,
-    /// Stop after this many consecutive rounds without a new detection.
-    pub stall_rounds: usize,
     /// RNG seed (the generator is deterministic).
     pub seed: u64,
 }
@@ -31,9 +34,7 @@ pub struct TgenConfig {
 impl Default for TgenConfig {
     fn default() -> Self {
         TgenConfig {
-            candidates: 8,
             max_len: 500,
-            stall_rounds: 12,
             seed: 0xDAC95,
         }
     }
@@ -41,10 +42,11 @@ impl Default for TgenConfig {
 
 /// Generates a compact fault-oriented test sequence for `faults`.
 ///
-/// The result is deterministic in `config.seed`. Stalled rounds still
-/// commit their best candidate (a random walk is needed to reach deeper
-/// states), so the sequence can be up to `stall_rounds` longer than its
-/// last detecting vector.
+/// The result is deterministic in `config.seed`. Each round scores 8
+/// candidates, and the generator stops after 12 rounds in a row without a
+/// new detection. Stalled rounds still commit their best candidate (a
+/// random walk is needed to reach deeper states), so the sequence can be
+/// up to 12 vectors longer than its last detecting vector.
 ///
 /// # Example
 ///
@@ -68,12 +70,12 @@ pub fn generate(
     let mut sim = FaultSim3::new(netlist, faults);
     let mut stalled = 0usize;
 
-    while seq.len() < config.max_len && stalled < config.stall_rounds && sim.live_faults() > 0 {
+    while seq.len() < config.max_len && stalled < STALL_ROUNDS && sim.live_faults() > 0 {
         // Score = (new detections, synchronized state bits): the tie-break
         // steers stalled rounds toward vectors that pin down more of the
         // unknown state, which is what eventually unlocks detections.
         let mut best: Option<((usize, usize), Vec<bool>, FaultSim3<'_>)> = None;
-        for _ in 0..config.candidates.max(1) {
+        for _ in 0..CANDIDATES {
             let cand: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
             let mut trial = sim.clone();
             let newly = trial.step(&cand).len();
@@ -160,18 +162,22 @@ mod tests {
 
     #[test]
     fn stops_when_stalled() {
-        // With no faults at all every round stalls; the generator must stop
-        // after exactly `stall_rounds` vectors.
-        let n = motsim_circuits::s27();
-        let seq = generate(
-            &n,
-            std::iter::empty(),
-            TgenConfig {
-                stall_rounds: 4,
-                max_len: 100,
-                ..TgenConfig::default()
-            },
-        );
-        assert!(seq.len() <= 4);
+        // g208 keeps faults that three-valued simulation never detects, so
+        // the generator ends on the stall rule: the sequence runs exactly
+        // `STALL_ROUNDS` vectors past its last detecting one.
+        let n = motsim_circuits::suite::by_name("g208").unwrap();
+        let faults = FaultList::collapsed(&n);
+        let config = TgenConfig::default();
+        let seq = generate(&n, faults.iter().cloned(), config);
+        assert!(seq.len() < config.max_len);
+        let outcome = FaultSim3::run(&n, &seq, faults.iter().cloned());
+        assert!(outcome.num_detected() < faults.len());
+        let last = outcome
+            .results
+            .iter()
+            .filter_map(|r| r.detection.map(|d| d.frame))
+            .max()
+            .expect("some fault is detected");
+        assert_eq!(seq.len(), last + 1 + STALL_ROUNDS);
     }
 }

@@ -36,7 +36,7 @@ use crate::sim3::TrueSim;
 
 /// Dense lead indexing shared by the analysis passes.
 #[derive(Debug, Clone)]
-pub struct LeadMap {
+pub(crate) struct LeadMap {
     leads: Vec<Lead>,
     stem_of: Vec<usize>,
     branch_index: HashMap<Lead, usize>,
@@ -71,11 +71,6 @@ impl LeadMap {
     /// Number of leads.
     pub fn len(&self) -> usize {
         self.leads.len()
-    }
-
-    /// Returns `true` if there are no leads (empty netlist).
-    pub fn is_empty(&self) -> bool {
-        self.leads.is_empty()
     }
 
     /// Index of the stem lead of `net`.
@@ -305,11 +300,6 @@ impl XRedAnalysis {
         XRedAnalysis { map, ix, ob }
     }
 
-    /// The lead index used by this analysis.
-    pub fn lead_map(&self) -> &LeadMap {
-        &self.map
-    }
-
     /// The final `I_X` value of `lead`.
     pub fn ix(&self, lead: Lead) -> V4 {
         self.ix[self.map.index_of(lead)]
@@ -520,7 +510,6 @@ mod tests {
     fn lead_map_indexing() {
         let n = motsim_circuits::s27();
         let map = LeadMap::new(&n);
-        assert!(!map.is_empty());
         assert_eq!(map.len(), n.leads().len());
         for (i, l) in map.leads().iter().enumerate() {
             assert_eq!(map.index_of(*l), i);

@@ -2,27 +2,18 @@
 //! brute-force enumeration of all `2^m` initial states, exactly like the
 //! sequential engine does. Sharding must not change a single verdict.
 
-use motsim::exhaustive::{verdict_from, ResponseMatrix, Verdict};
+use motsim::exhaustive::Oracle;
 use motsim::symbolic::Strategy;
 use motsim::{Fault, FaultList, TestSequence};
 use motsim_engine::{run, EngineKind, Job};
 use motsim_netlist::Netlist;
 
-fn oracle_verdicts(netlist: &Netlist, seq: &TestSequence, faults: &[Fault]) -> Vec<Verdict> {
-    let good = ResponseMatrix::simulate(netlist, seq, None);
-    faults
-        .iter()
-        .map(|&f| {
-            let bad = ResponseMatrix::simulate(netlist, seq, Some(f));
-            verdict_from(&good, &bad, seq.len(), netlist.num_outputs())
-        })
-        .collect()
-}
-
 fn assert_parallel_matches_oracle(netlist: &Netlist, seq: &TestSequence) {
     assert!(netlist.num_dffs() <= 10, "oracle kept to small circuits");
     let faults: Vec<Fault> = FaultList::collapsed(netlist).into_iter().collect();
-    let oracle = oracle_verdicts(netlist, seq, &faults);
+    let oracle = Oracle::new()
+        .verdicts(netlist, seq, faults.iter().copied())
+        .unwrap();
     for strategy in Strategy::ALL {
         let job = Job::new(netlist, seq, &faults, EngineKind::Symbolic(strategy)).jobs(4);
         let outcome = run(&job).expect("no node limit").outcome;

@@ -1,80 +1,8 @@
-//! Structural analysis: stems, fanout-free regions, cones, statistics.
+//! Structural analysis: cones and statistics.
 
 use std::collections::HashMap;
 
 use crate::model::{GateKind, NetId, Netlist, NodeKind};
-
-/// Per-net structural decomposition into fanout-free regions (FFRs).
-///
-/// A *stem* is a net whose value is observed in more than one place: it has
-/// fanout ≥ 2, feeds a primary output, or feeds a flip-flop (see
-/// [`Netlist::is_stem`]). The fanout-free region of a net is the unique path
-/// of single-fanout nets leading forward to the first stem; that stem is the
-/// region's *head*. `ID_X-red` step 3 performs its observability traversal
-/// backwards inside each region.
-#[derive(Debug, Clone)]
-pub struct FfrMap {
-    head: Vec<NetId>,
-    stems: Vec<NetId>,
-}
-
-impl FfrMap {
-    /// Computes the FFR decomposition of `netlist`.
-    pub fn new(netlist: &Netlist) -> Self {
-        let n = netlist.num_nets();
-        let mut head: Vec<Option<NetId>> = vec![None; n];
-        let mut stems = Vec::new();
-        for id in netlist.net_ids() {
-            if netlist.is_stem(id) {
-                stems.push(id);
-            }
-        }
-        // Follow the single-fanout chain forward; memoize.
-        fn resolve(netlist: &Netlist, id: NetId, head: &mut Vec<Option<NetId>>) -> NetId {
-            if let Some(h) = head[id.index()] {
-                return h;
-            }
-            let h = if netlist.is_stem(id) {
-                id
-            } else {
-                // Exactly one sink, which is a gate (a DFF sink would make
-                // `id` a stem).
-                let (sink, _) = netlist.fanout(id)[0];
-                resolve(netlist, sink, head)
-            };
-            head[id.index()] = Some(h);
-            h
-        }
-        for id in netlist.net_ids() {
-            resolve(netlist, id, &mut head);
-        }
-        FfrMap {
-            head: head.into_iter().map(|h| h.expect("resolved")).collect(),
-            stems,
-        }
-    }
-
-    /// The head (output stem) of the fanout-free region containing `net`.
-    pub fn head(&self, net: NetId) -> NetId {
-        self.head[net.index()]
-    }
-
-    /// All stems, in net-id order.
-    pub fn stems(&self) -> &[NetId] {
-        &self.stems
-    }
-
-    /// Nets belonging to the region headed by `stem` (including the head),
-    /// in arbitrary order.
-    pub fn region(&self, stem: NetId) -> Vec<NetId> {
-        self.head
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| **h == stem)
-            .map(|(i, _)| NetId::from_index(i))
-            .collect()
-    }
-}
 
 /// Aggregate structural statistics of a netlist, for reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,7 +45,7 @@ impl NetlistStats {
             dffs: netlist.num_dffs(),
             gates: netlist.num_gates(),
             depth: netlist.depth(),
-            stems: FfrMap::new(netlist).stems().len(),
+            stems: netlist.net_ids().filter(|&id| netlist.is_stem(id)).count(),
             max_fanout: netlist
                 .net_ids()
                 .map(|id| netlist.fanout(id).len())
@@ -195,29 +123,17 @@ mod tests {
     #[test]
     fn stems_identified() {
         let nl = sample();
-        let ffr = FfrMap::new(&nl);
         let n = nl.find("N").unwrap();
         let x = nl.find("X").unwrap();
         let y = nl.find("Y").unwrap();
         // N fans out twice -> stem. X feeds the DFF -> stem. Y is a PO -> stem.
-        assert!(ffr.stems().contains(&n));
-        assert!(ffr.stems().contains(&x));
-        assert!(ffr.stems().contains(&y));
-    }
-
-    #[test]
-    fn ffr_heads_follow_chains() {
-        let nl = sample();
-        let ffr = FfrMap::new(&nl);
-        let a = nl.find("A").unwrap();
-        let n = nl.find("N").unwrap();
-        // A has a single sink N which is not a stem? N *is* a stem, so A's
-        // head is N.
-        assert_eq!(ffr.head(a), n);
-        assert_eq!(ffr.head(n), n);
-        let region = ffr.region(n);
-        assert!(region.contains(&a));
-        assert!(region.contains(&n));
+        assert!(nl.is_stem(n));
+        assert!(nl.is_stem(x));
+        assert!(nl.is_stem(y));
+        // A and B each feed one gate and nothing else.
+        assert!(!nl.is_stem(nl.find("A").unwrap()));
+        assert!(!nl.is_stem(nl.find("B").unwrap()));
+        assert_eq!(NetlistStats::of(&nl).stems, 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! - a [`builder::NetlistBuilder`] for programmatic construction,
 //! - an ISCAS-89 `.bench` [parser](parse::parse_bench) and [writer](write::to_bench),
 //! - [levelization](Netlist::eval_order) of the combinational part,
-//! - structural [`analysis`] (fanout-free regions, stems, statistics),
+//! - structural [`analysis`] (fanin/fanout cones, statistics),
 //! - enumeration of [leads](Netlist::leads) — the fault sites of the classical
 //!   single-stuck-at fault model (gate output *stems* and fanout *branches*).
 //!

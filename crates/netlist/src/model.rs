@@ -140,11 +140,6 @@ impl NodeKind {
     pub fn is_dff(self) -> bool {
         matches!(self, NodeKind::Dff(_))
     }
-
-    /// Returns `true` if this node is a primary input.
-    pub fn is_input(self) -> bool {
-        matches!(self, NodeKind::Input(_))
-    }
 }
 
 /// One net of the circuit together with the node that drives it.

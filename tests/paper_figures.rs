@@ -2,7 +2,7 @@
 //! strategy provably fails and the MOT (or rMOT) strategy succeeds, plus a
 //! pinned regression over each figure's full collapsed fault list.
 
-use motsim::exhaustive;
+use motsim::exhaustive::Oracle;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::{Fault, FaultList, TestSequence};
 use motsim_circuits::figures;
@@ -34,7 +34,7 @@ fn fig1_sot_fails_mot_succeeds() {
     assert!(run(&n, Strategy::Mot, fault, &seq));
 
     // Cross-check against brute-force enumeration (Definition 2 / 3).
-    let v = exhaustive::verdict(&n, &seq, fault);
+    let v = Oracle::new().verdict(&n, &seq, fault).unwrap();
     assert!(!v.sot && !v.rmot && v.mot);
 }
 
@@ -58,7 +58,7 @@ fn fig2_initialization_is_not_enough_for_sot() {
     assert!(run(&n, Strategy::Rmot, fault, &seq));
     assert!(run(&n, Strategy::Mot, fault, &seq));
 
-    let v = exhaustive::verdict(&n, &seq, fault);
+    let v = Oracle::new().verdict(&n, &seq, fault).unwrap();
     assert!(!v.sot && v.rmot && v.mot);
 }
 
@@ -128,7 +128,7 @@ fn pinned_strategy_counts_on_paper_figures() {
             // All three figures fit the exhaustive oracle, so every verdict
             // is anchored to the brute-force enumeration — the pin below
             // cannot encode an engine bug.
-            let v = exhaustive::verdict(&n, &seq, fault);
+            let v = Oracle::new().verdict(&n, &seq, fault).unwrap();
             assert_eq!(
                 (sot[i], rmot[i], mot[i]),
                 (v.sot, v.rmot, v.mot),

@@ -196,7 +196,9 @@ fn pipeline_combinational_c17() {
     }
     // The exhaustive oracle handles 2^0 = 1 initial state.
     for f in faults.iter().take(6) {
-        let v = motsim::exhaustive::verdict(&n, &seq, *f);
+        let v = motsim::exhaustive::Oracle::new()
+            .verdict(&n, &seq, *f)
+            .unwrap();
         assert_eq!(v.sot, v.mot);
         assert_eq!(v.rmot, v.mot);
     }

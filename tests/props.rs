@@ -16,7 +16,6 @@ fn run_law(name: &str) {
         .unwrap_or_else(|| panic!("unknown law `{name}`"));
     let config = Config {
         cases: 16,
-        seed: 0xDAC95,
         ..Config::default()
     };
     if let Err(cex) = forall(
@@ -93,11 +92,7 @@ fn symbolic_refines_sim3() {
 /// minimal reproducer — at most 8 gates and 4 frames.
 #[test]
 fn injected_bug_is_caught_and_shrunk() {
-    let config = Config {
-        cases: 8,
-        seed: 1,
-        ..Config::default()
-    };
+    let config = Config { cases: 8, seed: 1 };
     let cex = forall(
         &config,
         "flip-engine-matches-sim3",
