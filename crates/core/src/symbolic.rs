@@ -107,6 +107,10 @@ pub fn eval_gate_bdd(mgr: &BddManager, kind: GateKind, inputs: &[Bdd]) -> Result
 /// Used stand-alone by [test evaluation](crate::testeval) and
 /// [synchronization analysis](crate::synch), and as the fault-free machine
 /// of [`SymbolicFaultSim`].
+///
+/// The simulator itself never garbage-collects its manager: standing alone,
+/// every node a frame allocates stays in the arena, so the arena grows with
+/// each frame and a node limit counts dead nodes too.
 #[derive(Debug)]
 pub struct SymbolicTrueSim<'a> {
     netlist: &'a Netlist,
@@ -716,9 +720,7 @@ impl<'a> SymbolicFaultSim<'a> {
             rename_map: &self.rename_map,
             attempt,
             e_terms: vec![None; good.netlist.num_outputs()],
-            e_failed: vec![false; good.netlist.num_outputs()],
             e_all: None,
-            e_all_failed: false,
         };
 
         // 3. Per-fault propagation and observation into staged updates.
@@ -790,10 +792,11 @@ struct FrameCtx<'f> {
     values: &'f [Bdd],
     rename_map: &'f [(VarId, VarId)],
     attempt: Attempt,
-    e_terms: Vec<Option<Bdd>>,
-    e_failed: Vec<bool>,
-    e_all: Option<Bdd>,
-    e_all_failed: bool,
+    /// Memo of each output's [`e_term`](Self::e_term) outcome, failures
+    /// included, so other faults do not redo doomed work.
+    e_terms: Vec<Option<Result<Bdd, BddError>>>,
+    /// Memo of the [`e_all`](Self::e_all) outcome.
+    e_all: Option<Result<Bdd, BddError>>,
 }
 
 impl FrameCtx<'_> {
@@ -808,53 +811,29 @@ impl FrameCtx<'_> {
     }
 
     /// `E_j(x,y) = [o_j(x,t) ≡ o_j(y,t)]`, computed once per frame (see
-    /// [`term`](Self::term) for the node limit); a failure is cached so
-    /// other faults do not redo the doomed work.
+    /// [`term`](Self::term) for the node limit).
     fn e_term(&mut self, j: usize) -> Result<Bdd, BddError> {
-        if let Some(e) = &self.e_terms[j] {
-            return Ok(e.clone());
-        }
-        if self.e_failed[j] {
-            return Err(BddError::NodeLimit {
-                limit: self.mgr.node_limit().unwrap_or(0),
-            });
+        if let Some(memo) = &self.e_terms[j] {
+            return memo.clone();
         }
         let o = &self.values[self.netlist.outputs()[j].index()];
-        match self.term(|| o.equiv(&o.rename(self.rename_map)?)) {
-            Ok(e) => {
-                self.e_terms[j] = Some(e.clone());
-                Ok(e)
-            }
-            Err(err) => {
-                self.e_failed[j] = true;
-                Err(err)
-            }
-        }
+        let e = self.term(|| o.equiv(&o.rename(self.rename_map)?));
+        self.e_terms[j] = Some(e.clone());
+        e
     }
 
-    /// `∏_j E_j`, the whole-frame factor for faults with no output change.
+    /// `∏_j E_j`, the whole-frame factor for faults with no output change;
+    /// computed once per frame, and stops at the first factor that fails.
     fn e_all(&mut self) -> Result<Bdd, BddError> {
-        if let Some(e) = &self.e_all {
-            return Ok(e.clone());
+        if let Some(memo) = &self.e_all {
+            return memo.clone();
         }
-        if self.e_all_failed {
-            return Err(BddError::NodeLimit {
-                limit: self.mgr.node_limit().unwrap_or(0),
-            });
-        }
-        let mut acc = self.mgr.one();
-        for j in 0..self.netlist.num_outputs() {
-            let r = self.e_term(j).and_then(|e| self.term(|| acc.and(&e)));
-            match r {
-                Ok(next) => acc = next,
-                Err(err) => {
-                    self.e_all_failed = true;
-                    return Err(err);
-                }
-            }
-        }
-        self.e_all = Some(acc.clone());
-        Ok(acc)
+        let all = (0..self.netlist.num_outputs()).try_fold(self.mgr.one(), |acc, j| {
+            let e = self.e_term(j)?;
+            self.term(|| acc.and(&e))
+        });
+        self.e_all = Some(all.clone());
+        all
     }
 
     /// Applies the observation rule of `strategy` to one fault's frame:

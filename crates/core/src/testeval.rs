@@ -45,11 +45,14 @@ impl SymbolicOutputSequence {
     /// Computes the symbolic output sequence of `netlist` under `seq`.
     ///
     /// With `node_limit = None` the whole sequence is symbolic. With a
-    /// limit, frames that cannot be represented are absorbed into a
-    /// three-valued prefix and the symbolic part restarts from the
-    /// projected state (fresh unknowns for the `X` bits) — the same
-    /// over-approximation the hybrid fault simulator uses, so a *faulty*
-    /// verdict remains sound.
+    /// limit, the first frame whose step hits it is absorbed into a
+    /// three-valued prefix, together with every frame before it, and the
+    /// symbolic part restarts from the projected state (fresh unknowns for
+    /// the `X` bits) in a fresh manager — the same over-approximation the
+    /// hybrid fault simulator uses, so a *faulty* verdict remains sound.
+    /// Nothing is collected while the symbolic part is built (see
+    /// [`SymbolicTrueSim`]), so the limit bounds every node allocated since
+    /// the restart, dead ones included, not only the live functions.
     ///
     /// # Example
     ///

@@ -13,6 +13,10 @@
 //!   writer ([`TraceEvent::to_jsonl`]) and parse back with a matching
 //!   reader ([`TraceEvent::parse_jsonl`]); the schema is pinned by golden
 //!   tests.
+//! - **One schema table.** The enum, its tags, the writer and the reader
+//!   are all generated from one table in the `event` module, one row per
+//!   variant with its `"ev"` tag and its fields in key order. Adding a
+//!   field is one table line plus one golden line.
 //! - **Allocation-light.** Emitters check [`TraceSink::enabled`] before
 //!   building an event, so a [`NullSink`] run compiles down to a branch on
 //!   a constant `false` — the instrumented hot path costs nothing when
