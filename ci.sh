@@ -76,6 +76,23 @@ sim3_trace_smoke 4
 cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/sim3_j1.jsonl"
 cmp "$TRACE_DIR/sim3_j1.jsonl" "$TRACE_DIR/sim3_j4.jsonl"
 
+echo "==> smoke: node-limit trace (g298 strategies, --trace + trace-check)"
+# The same contract on the hybrid's limit path, which the g208 smoke never
+# reaches: at 20,000 nodes g298 hits the limit, sifts, and falls back to
+# three-valued frames and out again, and the stream must record all of it.
+limit_trace_smoke() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    strategies g298 --len 20 --limit 20000 --reorder sift --jobs "$1" \
+    --trace "$TRACE_DIR/limit_j$1.jsonl" >/dev/null 2>&1
+}
+limit_trace_smoke 1
+limit_trace_smoke 4
+cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/limit_j1.jsonl"
+cmp "$TRACE_DIR/limit_j1.jsonl" "$TRACE_DIR/limit_j4.jsonl"
+for ev in node_limit sift_pass fallback_enter fallback_exit; do
+  grep -q "\"ev\":\"$ev\"" "$TRACE_DIR/limit_j1.jsonl"
+done
+
 echo "==> smoke: large-circuit three-valued run (g38417 sim3, --jobs 1 vs 2)"
 # ID_X-red plus three-valued simulation of g38417's 50,247 faults over 200
 # vectors: the start of a pinned stress tier. The verdict line is pinned and

@@ -27,13 +27,12 @@ use motsim::hybrid::{HybridConfig, ReorderPolicy};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
 use motsim::sim3::TrueSim;
-use motsim::symbolic::{eval_frame_bdd, Strategy};
-use motsim::symbolic::{eval_gate_bdd, SymbolicFaultSim, SymbolicTrueSim};
+use motsim::symbolic::{eval_frame_bdd, Strategy, SymbolicFaultSim, SymbolicTrueSim};
 use motsim::xred::XRedAnalysis;
 use motsim::Fault;
 use motsim_bdd::{Bdd, BddManager, VarId};
 use motsim_engine::{run_traced, EngineKind, Job};
-use motsim_netlist::{Lead, Netlist, NodeKind};
+use motsim_netlist::Netlist;
 use motsim_rng::SmallRng;
 use motsim_trace::CollectSink;
 
@@ -360,48 +359,6 @@ enum YAlloc {
     Blocked,
 }
 
-/// Evaluates one faulty combinational frame: like
-/// [`eval_frame_bdd`], with the stuck value forced at the stem fault site.
-fn eval_frame_bdd_faulty(
-    netlist: &Netlist,
-    mgr: &BddManager,
-    state: &[Bdd],
-    inputs: &[bool],
-    fault: Fault,
-) -> Result<Vec<Bdd>, String> {
-    let forced = mgr.constant(fault.stuck);
-    let mut values = vec![mgr.zero(); netlist.num_nets()];
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = if fault.lead == Lead::stem(pi) {
-            forced.clone()
-        } else {
-            mgr.constant(inputs[i])
-        };
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = if fault.lead == Lead::stem(q) {
-            forced.clone()
-        } else {
-            state[i].clone()
-        };
-    }
-    let mut fanin = Vec::new();
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin.clear();
-        fanin.extend(net.fanin().iter().map(|f| values[f.index()].clone()));
-        values[g.index()] = if fault.lead == Lead::stem(g) {
-            forced.clone()
-        } else {
-            eval_gate_bdd(mgr, kind, &fanin).map_err(bdd_err)?
-        };
-    }
-    Ok(values)
-}
-
 /// Computes MOT detectability of a stem fault from first principles:
 /// `D(x,y) = ∏_t ∏_j [o_j(x,t) ≡ o_j^f(y,t)]`, detected iff `D ≡ 0`.
 fn direct_mot_detected(
@@ -426,8 +383,8 @@ fn direct_mot_detected(
     let mut bad: Vec<Bdd> = yv.iter().map(|&v| mgr.var(v)).collect();
     let mut det = mgr.one();
     for inputs in seq {
-        let gvals = eval_frame_bdd(netlist, &mgr, &good, inputs).map_err(bdd_err)?;
-        let bvals = eval_frame_bdd_faulty(netlist, &mgr, &bad, inputs, fault)?;
+        let gvals = eval_frame_bdd(netlist, &mgr, &good, inputs, None).map_err(bdd_err)?;
+        let bvals = eval_frame_bdd(netlist, &mgr, &bad, inputs, Some(fault)).map_err(bdd_err)?;
         for &o in netlist.outputs() {
             let term = gvals[o.index()].equiv(&bvals[o.index()]).map_err(bdd_err)?;
             det = det.and(&term).map_err(bdd_err)?;

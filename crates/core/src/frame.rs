@@ -1,43 +1,97 @@
-//! The frame kernels of the fault simulators.
+//! The frame kernels of the fault simulators, one for every value domain.
 //!
-//! The dense kernel, shared by `simb` and `sim3`, is one levelized frame
-//! pass and one next-state step, generic over the value domain ([`Logic`])
-//! and forcing at most one stuck-at fault ([`Stuck`]) in every lane. It
-//! alone fixes *where* a stuck-at fault can force a value — every stem,
-//! gate input pin and D pin; the [`Stuck`] value only says *what* is forced
-//! there.
+//! The kernels are generic over a [`Domain`]: three-valued logic (`V3`, the
+//! `X01` baseline and the hybrid fallback), 64 Boolean lanes (`u64`, the
+//! exhaustive oracle) and BDDs (the symbolic engines). A domain supplies
+//! only its gate evaluation, which fails for BDDs at the manager's node
+//! limit and never for the other two.
 //!
-//! The sparse kernel ([`Sparse`]), shared by `FaultSim3` and
+//! The dense kernel, shared by `simb`, `sim3` and the symbolic frame, is one
+//! levelized frame pass ([`eval_frame`]) and one next-state step
+//! ([`next_state`]), forcing at most one stuck-at fault ([`Stuck`]) in every
+//! lane. The sparse kernel ([`Sparse`]), shared by `FaultSim3` and
 //! `SymbolicFaultSim`, is event-driven single-fault propagation: one
 //! fault's effect is pushed from the fault site and from the diverged
 //! flip-flops through the levelized circuit, against an already evaluated
-//! fault-free frame. It is generic over any value type with a (fallible)
-//! gate evaluator — `V3` or BDDs — and forces the stuck value at the same
-//! leads as the dense kernel, through the same [`Stuck`] type.
+//! fault-free frame. Together they alone fix *where* a stuck-at fault can
+//! force a value — every stem, gate input pin and D pin; the [`Stuck`]
+//! value only says *what* is forced there.
 
-use motsim_logic::{fold_gate, Logic};
+use std::convert::Infallible;
+
+use motsim_bdd::{Bdd, BddError};
+use motsim_logic::{fold_gate, V3};
 use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
 
 use crate::faults::Fault;
 
+/// A value domain of the frame kernels: how a gate evaluates over it.
+pub(crate) trait Domain: Clone + PartialEq {
+    /// Why a gate evaluation fails: `Infallible` but for BDDs.
+    type Error;
+
+    /// Evaluates a gate of the given kind over its pin values, in pin
+    /// order (the unary kinds read only the first pin).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pins` is empty.
+    fn gate(kind: GateKind, pins: impl Iterator<Item = Self>) -> Result<Self, Self::Error>;
+}
+
+impl Domain for V3 {
+    type Error = Infallible;
+
+    #[inline]
+    fn gate(kind: GateKind, pins: impl Iterator<Item = Self>) -> Result<Self, Infallible> {
+        Ok(fold_gate(kind, pins))
+    }
+}
+
+impl Domain for u64 {
+    type Error = Infallible;
+
+    #[inline]
+    fn gate(kind: GateKind, pins: impl Iterator<Item = Self>) -> Result<Self, Infallible> {
+        Ok(fold_gate(kind, pins))
+    }
+}
+
+// The fold starts from the first pin: starting from the constant
+// `mgr.one()`/`mgr.zero()` would add one ITE terminal case per gate and
+// nothing else.
+impl Domain for Bdd {
+    type Error = BddError;
+
+    fn gate(kind: GateKind, mut pins: impl Iterator<Item = Self>) -> Result<Self, BddError> {
+        let first = pins.next().expect("gate must have at least one input");
+        let op: fn(&Bdd, &Bdd) -> Result<Bdd, BddError> = match kind {
+            GateKind::And | GateKind::Nand => Bdd::and,
+            GateKind::Or | GateKind::Nor => Bdd::or,
+            GateKind::Xor | GateKind::Xnor => Bdd::xor,
+            GateKind::Not => return Ok(first.not()),
+            GateKind::Buf => return Ok(first),
+        };
+        let acc = pins.try_fold(first, |acc, b| op(&acc, &b))?;
+        Ok(match kind {
+            GateKind::Nand | GateKind::Nor | GateKind::Xnor => acc.not(),
+            _ => acc,
+        })
+    }
+}
+
 /// A single stuck-at fault with its stuck value in the domain `L`.
-#[derive(Clone, Copy)]
 pub(crate) struct Stuck<L> {
     fault: Fault,
     value: L,
 }
 
-impl<L: Logic> Stuck<L> {
-    /// `fault`, forcing its stuck value in every lane.
-    pub(crate) fn new(fault: Fault) -> Self {
-        Stuck {
-            fault,
-            value: L::from_bool(fault.stuck),
-        }
-    }
-}
-
 impl<L: Clone> Stuck<L> {
+    /// `fault`, forcing `value`, its stuck value in the domain `L`.
+    pub(crate) fn new(fault: Fault, value: L) -> Self {
+        Stuck { fault, value }
+    }
+
     /// The value `lead` carries (a stem) or delivers to its sink pin (a
     /// branch), given its fault-free value `v`.
     #[inline]
@@ -52,50 +106,51 @@ impl<L: Clone> Stuck<L> {
 
 /// The value `lead` carries under the dense kernel's fault, if any.
 #[inline]
-fn force<L: Logic>(stuck: Option<Stuck<L>>, lead: Lead, v: L) -> L {
-    stuck.map_or(v, |s| s.pin(lead, v))
-}
-
-/// Boolean primary-input values as known values of the domain `L`.
-pub(crate) fn known<L: Logic>(bits: &[bool]) -> impl ExactSizeIterator<Item = L> + '_ {
-    bits.iter().map(|&b| L::from_bool(b))
+fn force<L: Clone>(stuck: Option<&Stuck<L>>, lead: Lead, v: L) -> L {
+    match stuck {
+        Some(s) => s.pin(lead, v),
+        None => v,
+    }
 }
 
 /// Evaluates one combinational frame into `values` (indexed by net), with
 /// the fault `stuck`, if any, forced in every lane.
 ///
+/// # Errors
+///
+/// Returns the domain's first gate error; `values` is then partly written.
+///
 /// # Panics
 ///
-/// Panics if `inputs`/`state` lengths do not match the circuit.
-pub(crate) fn eval_frame<L: Logic>(
+/// Panics if `inputs`/`state`/`values` lengths do not match the circuit.
+pub(crate) fn eval_frame<L: Domain>(
     netlist: &Netlist,
     state: &[L],
     inputs: impl ExactSizeIterator<Item = L>,
-    stuck: Option<Stuck<L>>,
-    values: &mut Vec<L>,
-) {
+    stuck: Option<&Stuck<L>>,
+    values: &mut [L],
+) -> Result<(), L::Error> {
     assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
     assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    values.clear();
-    values.resize(netlist.num_nets(), L::default());
+    assert_eq!(values.len(), netlist.num_nets(), "net count mismatch");
     for (&pi, v) in netlist.inputs().iter().zip(inputs) {
         values[pi.index()] = force(stuck, Lead::stem(pi), v);
     }
-    for (&q, &v) in netlist.dffs().iter().zip(state) {
-        values[q.index()] = force(stuck, Lead::stem(q), v);
+    for (&q, v) in netlist.dffs().iter().zip(state) {
+        values[q.index()] = force(stuck, Lead::stem(q), v.clone());
     }
     for &g in netlist.eval_order() {
         let net = netlist.net(g);
         let NodeKind::Gate(kind) = net.kind() else {
             unreachable!("eval order contains only gates")
         };
-        let pins = net
-            .fanin()
-            .iter()
-            .enumerate()
-            .map(|(pin, &f)| force(stuck, Lead::branch(f, g, pin as u32), values[f.index()]));
-        values[g.index()] = force(stuck, Lead::stem(g), fold_gate(kind, pins));
+        let pins = net.fanin().iter().enumerate().map(|(pin, &f)| {
+            let lead = Lead::branch(f, g, pin as u32);
+            force(stuck, lead, values[f.index()].clone())
+        });
+        values[g.index()] = force(stuck, Lead::stem(g), L::gate(kind, pins)?);
     }
+    Ok(())
 }
 
 /// Advances `state` after [`eval_frame`]: each flip-flop stores the value
@@ -104,16 +159,16 @@ pub(crate) fn eval_frame<L: Logic>(
 /// # Panics
 ///
 /// Panics if `state` does not match the flip-flop count.
-pub(crate) fn next_state<L: Logic>(
+pub(crate) fn next_state<L: Clone>(
     netlist: &Netlist,
     values: &[L],
-    stuck: Option<Stuck<L>>,
+    stuck: Option<&Stuck<L>>,
     state: &mut [L],
 ) {
     assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
     for (s, &q) in state.iter_mut().zip(netlist.dffs()) {
         let d = netlist.dff_d(q);
-        *s = force(stuck, Lead::branch(d, q, 0), values[d.index()]);
+        *s = force(stuck, Lead::branch(d, q, 0), values[d.index()].clone());
     }
 }
 
@@ -164,7 +219,6 @@ pub(crate) struct Sparse<'a, V> {
     d_start: Vec<u32>,
     d_ffs: Vec<u32>,
     queue: LevelQueue,
-    fanin: Vec<V>,
 }
 
 /// Gates waiting for evaluation, bucketed by level; each is queued at
@@ -213,13 +267,13 @@ impl LevelQueue {
 /// One fault's frame after [`Sparse::propagate`]: the faulty value of every
 /// net, for the engine's observation rule and the faulty next state.
 /// Dropping it clears the pass's scratch, so no value outlives the fault.
-pub(crate) struct Faulty<'s, 'a, V: Clone + PartialEq> {
+pub(crate) struct Faulty<'s, 'a, V: Domain> {
     pass: &'s mut Sparse<'a, V>,
     good: &'s [V],
     stuck: Stuck<V>,
 }
 
-impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
+impl<'a, V: Domain> Sparse<'a, V> {
     pub(crate) fn new(netlist: &'a Netlist) -> Self {
         let mut d_start = vec![0u32; netlist.num_nets() + 1];
         for &q in netlist.dffs() {
@@ -247,36 +301,31 @@ impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
                 lo: usize::MAX,
                 hi: 0,
             },
-            fanin: Vec::with_capacity(8),
         }
     }
 
     /// Propagates `fault` through one frame, from the flip-flops `diffs`
     /// names — the faulty present state's differences from the fault-free
     /// one — and from the fault site, visiting in level order only the
-    /// gates a diverged net feeds. `good` is the fault-free frame, `forced`
-    /// the stuck value in the domain and `eval` the gate evaluator.
+    /// gates a diverged net feeds. `good` is the fault-free frame and
+    /// `forced` the stuck value in the domain.
     ///
     /// # Errors
     ///
-    /// Returns the evaluator's first error, with the scratch cleared.
-    pub(crate) fn propagate<'s, E>(
+    /// Returns the domain's first gate error, with the scratch cleared.
+    pub(crate) fn propagate<'s>(
         &'s mut self,
         good: &'s [V],
         diffs: impl IntoIterator<Item = (usize, V)>,
         fault: Fault,
         forced: V,
-        eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
-    ) -> Result<Faulty<'s, 'a, V>, E> {
+    ) -> Result<Faulty<'s, 'a, V>, V::Error> {
         let mut faulty = Faulty {
             pass: self,
             good,
-            stuck: Stuck {
-                fault,
-                value: forced,
-            },
+            stuck: Stuck::new(fault, forced),
         };
-        if let Err(e) = faulty.spread(diffs, eval) {
+        if let Err(e) = faulty.spread(diffs) {
             faulty.pass.queue.clear();
             return Err(e);
         }
@@ -284,7 +333,7 @@ impl<'a, V: Clone + PartialEq> Sparse<'a, V> {
     }
 }
 
-impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
+impl<'s, 'a, V: Domain> Faulty<'s, 'a, V> {
     /// The faulty value of `net`.
     #[inline]
     pub(crate) fn value(&self, net: NetId) -> &V {
@@ -327,19 +376,14 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
     }
 
     /// Seeds the pass and runs it level by level; returns with the queue
-    /// empty unless the evaluator fails.
-    fn spread<E>(
-        &mut self,
-        diffs: impl IntoIterator<Item = (usize, V)>,
-        mut eval: impl FnMut(GateKind, &[V]) -> Result<V, E>,
-    ) -> Result<(), E> {
+    /// empty unless a gate evaluation fails.
+    fn spread(&mut self, diffs: impl IntoIterator<Item = (usize, V)>) -> Result<(), V::Error> {
         let (good, stuck) = (self.good, &self.stuck);
         let Sparse {
             netlist,
             fval,
             diverged,
             queue,
-            fanin,
             ..
         } = &mut *self.pass;
         let netlist: &Netlist = netlist;
@@ -377,12 +421,11 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
                 let NodeKind::Gate(kind) = net.kind() else {
                     unreachable!("only gates are queued")
                 };
-                fanin.clear();
-                for (pin, &f) in net.fanin().iter().enumerate() {
+                let pins = net.fanin().iter().enumerate().map(|(pin, &f)| {
                     let v = fval[f.index()].as_ref().unwrap_or(&good[f.index()]);
-                    fanin.push(stuck.pin(Lead::branch(f, g, pin as u32), v.clone()));
-                }
-                let out = stuck.pin(Lead::stem(g), eval(kind, fanin)?);
+                    stuck.pin(Lead::branch(f, g, pin as u32), v.clone())
+                });
+                let out = stuck.pin(Lead::stem(g), V::gate(kind, pins)?);
                 if out != good[g.index()] {
                     set(fval, g, out);
                     queue.push_fanout(netlist, g);
@@ -396,51 +439,60 @@ impl<'s, 'a, V: Clone + PartialEq> Faulty<'s, 'a, V> {
     }
 }
 
-impl<V: Clone + PartialEq> Drop for Faulty<'_, '_, V> {
+impl<V: Domain> Drop for Faulty<'_, '_, V> {
     fn drop(&mut self) {
         let pass = &mut *self.pass;
         for &n in &pass.diverged {
             pass.fval[n.index()] = None;
         }
         pass.diverged.clear();
-        pass.fanin.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::convert::Infallible;
+    use std::fmt::Debug;
 
-    use motsim_logic::{eval_gate, V3};
+    use motsim_bdd::BddManager;
 
     use super::*;
     use crate::faults::FaultList;
     use crate::pattern::TestSequence;
-    use crate::sim3::{eval_frame_with_fault, next_state_with_fault, TrueSim};
 
-    /// For every collapsed fault, the sparse three-valued pass gives every
-    /// net the dense reference's faulty value, and its next-state
-    /// differences, laid over the fault-free next state, give the dense
-    /// reference's faulty next state, frame by frame.
-    fn sparse_v3_matches_dense(netlist: &Netlist) {
-        let seq = TestSequence::random(netlist, 40, 17);
+    /// For every collapsed fault, over `frames` random frames, the sparse
+    /// pass gives every net the dense kernel's faulty value, and its
+    /// next-state differences, laid over the fault-free next state, give
+    /// the dense kernel's faulty next state. Both machines start in `init`;
+    /// `constant` lifts a Boolean into the domain.
+    fn sparse_matches_dense<V: Domain + Debug>(
+        netlist: &Netlist,
+        frames: usize,
+        init: &[V],
+        constant: impl Fn(bool) -> V,
+    ) where
+        V::Error: Debug,
+    {
+        let seq = TestSequence::random(netlist, frames, 17);
+        let eval = |state: &[V], inputs: &[bool], stuck: Option<&Stuck<V>>| {
+            let mut values = vec![constant(false); netlist.num_nets()];
+            let inputs = inputs.iter().map(|&b| constant(b));
+            eval_frame(netlist, state, inputs, stuck, &mut values).unwrap();
+            values
+        };
         let mut sparse = Sparse::new(netlist);
-        let mut dense = Vec::new();
         for &fault in FaultList::collapsed(netlist).iter() {
-            let mut good = TrueSim::new(netlist);
-            let mut diffs: Vec<(usize, V3)> = Vec::new();
-            let mut dense_state = vec![V3::X; netlist.num_dffs()];
+            let stuck = Stuck::new(fault, constant(fault.stuck));
+            let (mut good_state, mut dense_state) = (init.to_vec(), init.to_vec());
+            let mut diffs: Vec<(usize, V)> = Vec::new();
             for (t, v) in seq.iter().enumerate() {
-                good.step(v);
-                eval_frame_with_fault(netlist, &dense_state, v, fault, &mut dense);
-                next_state_with_fault(netlist, &dense, fault, &mut dense_state);
-                let Ok(faulty) = sparse.propagate(
-                    good.values(),
-                    diffs.iter().copied(),
-                    fault,
-                    V3::from_bool(fault.stuck),
-                    |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
-                );
+                let good = eval(&good_state, v, None);
+                let dense = eval(&dense_state, v, Some(&stuck));
+                next_state(netlist, &good, None, &mut good_state);
+                next_state(netlist, &dense, Some(&stuck), &mut dense_state);
+                let forced = constant(fault.stuck);
+                let faulty = sparse
+                    .propagate(&good, diffs.iter().cloned(), fault, forced)
+                    .unwrap();
                 for id in netlist.net_ids() {
                     assert_eq!(
                         *faulty.value(id),
@@ -452,11 +504,24 @@ mod tests {
                 }
                 faulty.next_state_diffs(&mut diffs);
                 assert!(diffs.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-                let state = patch(good.state(), diffs.iter().copied());
+                let state = patch(&good_state, diffs.iter().cloned());
                 assert_eq!(state, dense_state, "{} frame {t}", fault.display(netlist));
-                assert_eq!(diff(good.state(), state), diffs, "a difference differs");
+                assert_eq!(diff(&good_state, state), diffs, "a difference differs");
             }
         }
+    }
+
+    fn sparse_v3_matches_dense(netlist: &Netlist) {
+        let init = vec![V3::X; netlist.num_dffs()];
+        sparse_matches_dense(netlist, 40, &init, V3::from_bool);
+    }
+
+    /// Both machines start from the same `x` variables, as
+    /// `SymbolicFaultSim::add_fault` starts them.
+    fn sparse_bdd_matches_dense(netlist: &Netlist) {
+        let mgr = BddManager::new();
+        let init: Vec<Bdd> = (0..netlist.num_dffs()).map(|_| mgr.new_var()).collect();
+        sparse_matches_dense(netlist, 12, &init, |b| mgr.constant(b));
     }
 
     #[test]
@@ -472,5 +537,15 @@ mod tests {
     #[test]
     fn sparse_v3_matches_dense_on_g298() {
         sparse_v3_matches_dense(&motsim_circuits::suite::by_name("g298").unwrap());
+    }
+
+    #[test]
+    fn sparse_bdd_matches_dense_on_s27() {
+        sparse_bdd_matches_dense(&motsim_circuits::s27());
+    }
+
+    #[test]
+    fn sparse_bdd_matches_dense_on_counter6() {
+        sparse_bdd_matches_dense(&motsim_circuits::generators::counter(6));
     }
 }

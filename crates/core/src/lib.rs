@@ -30,19 +30,20 @@
 //!    [`exhaustive`] brute-force oracle that validates the symbolic engines
 //!    on small circuits, and as a fast pattern evaluator.
 //!
-//! `simb` and `sim3`'s dense evaluation (the true-value simulator and the
-//! faulty-frame reference) run on one crate-private dense frame kernel: a
-//! single levelized frame pass and next-state step, generic over the value
-//! domain ([`motsim_logic::Logic`], for `u64` words of 64 Boolean lanes and
-//! for [`V3`](motsim_logic::V3)) and forcing at most one [`Fault`] in every
-//! lane. The kernel alone decides where a stuck-at fault forces a value.
-//! Next to it, one sparse pass implements event-driven single-fault
-//! propagation for both [`FaultSim3`](sim3::FaultSim3) (over `V3`) and
-//! [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs,
-//! with a fallible gate evaluator); the two engines keep only their
-//! observation rules. Two loops stay separate because they compute
-//! something else: the fallible dense BDD evaluators of [`symbolic`], and
-//! the lattice passes of [`xred`] and [`testability`].
+//! Every frame of every engine runs on crate-private frame kernels,
+//! generic over the value domain: `u64` words of 64 Boolean lanes,
+//! [`V3`](motsim_logic::V3) and BDDs, whose gate evaluation fails at the
+//! node limit. The dense kernel, a single levelized frame pass and
+//! next-state step forcing at most one [`Fault`] in every lane, runs
+//! `simb`, `sim3`'s dense evaluation (the true-value simulator and the
+//! faulty-frame reference) and [`symbolic::eval_frame_bdd`]. Next to it,
+//! one sparse pass implements event-driven single-fault propagation for
+//! both [`FaultSim3`](sim3::FaultSim3) (over `V3`) and
+//! [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs); the two
+//! engines keep only their observation rules. The kernels alone decide
+//! where a stuck-at fault forces a value. Only the lattice passes of
+//! [`xred`] and [`testability`] are loops of their own, because they
+//! compute something else.
 //!
 //! Around the pipeline, the crate ships three analyses the paper's argument
 //! and the tests lean on:

@@ -181,11 +181,6 @@ impl SimOutcome {
             .count()
     }
 
-    /// Number of faults not detected by the sequence.
-    pub fn num_undetected(&self) -> usize {
-        self.results.len() - self.num_detected()
-    }
-
     /// Iterates over the detected faults.
     pub fn detected_faults(&self) -> impl Iterator<Item = Fault> + '_ {
         self.results
@@ -285,7 +280,6 @@ mod tests {
             bdd: BddUsage::default(),
         };
         assert_eq!(o.num_detected(), 2);
-        assert_eq!(o.num_undetected(), 1);
         assert_eq!(o.detected_faults().count(), 2);
         assert_eq!(o.undetected_faults().count(), 1);
         assert!((o.coverage_percent() - 66.66).abs() < 0.1);

@@ -15,9 +15,7 @@
 //! a batch job instead simulates it once into a shared [`Trajectory`] of
 //! frames × nets bytes that all its work units read.
 
-use std::convert::Infallible;
-
-use motsim_logic::{eval_gate, V3};
+use motsim_logic::V3;
 use motsim_netlist::{NetId, Netlist};
 use motsim_trace::{TraceEvent, TraceSink};
 
@@ -105,7 +103,9 @@ impl<'a> TrueSim<'a> {
 ///
 /// Panics if `inputs`/`state` lengths do not match the circuit.
 pub fn eval_frame(netlist: &Netlist, state: &[V3], inputs: &[bool], values: &mut Vec<V3>) {
-    frame::eval_frame(netlist, state, frame::known(inputs), None, values);
+    values.resize(netlist.num_nets(), V3::X);
+    let inputs = inputs.iter().map(|&b| V3::from_bool(b));
+    let Ok(()) = frame::eval_frame(netlist, state, inputs, None, values);
 }
 
 /// Evaluates one combinational frame of the *faulty* machine by full
@@ -124,8 +124,10 @@ pub fn eval_frame_with_fault(
     fault: Fault,
     values: &mut Vec<V3>,
 ) {
-    let stuck = Some(Stuck::new(fault));
-    frame::eval_frame(netlist, state, frame::known(inputs), stuck, values);
+    values.resize(netlist.num_nets(), V3::X);
+    let inputs = inputs.iter().map(|&b| V3::from_bool(b));
+    let stuck = Stuck::new(fault, V3::from_bool(fault.stuck));
+    let Ok(()) = frame::eval_frame(netlist, state, inputs, Some(&stuck), values);
 }
 
 /// Advances the faulty present state after [`eval_frame_with_fault`]
@@ -135,7 +137,8 @@ pub fn eval_frame_with_fault(
 ///
 /// Panics if `state` does not match the flip-flop count.
 pub fn next_state_with_fault(netlist: &Netlist, values: &[V3], fault: Fault, state: &mut [V3]) {
-    frame::next_state(netlist, values, Some(Stuck::new(fault)), state);
+    let stuck = Stuck::new(fault, V3::from_bool(fault.stuck));
+    frame::next_state(netlist, values, Some(&stuck), state);
 }
 
 /// The fault-free three-valued machine over a whole sequence: every
@@ -261,7 +264,6 @@ impl<'a> Machines<'a> {
                 rec.state.iter().copied(),
                 rec.fault,
                 V3::from_bool(rec.fault.stuck),
-                |kind, pins| Ok::<_, Infallible>(eval_gate(kind, pins)),
             );
             // Three-valued SOT rule at the lowest-indexed output; only a
             // diverged net can differ from the fault-free frame.

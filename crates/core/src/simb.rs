@@ -26,8 +26,10 @@ pub fn eval_frame_u64(
     fault: Option<Fault>,
     values: &mut Vec<u64>,
 ) {
-    let stuck = fault.map(Stuck::new);
-    frame::eval_frame(netlist, state, inputs.iter().copied(), stuck, values);
+    values.resize(netlist.num_nets(), 0);
+    let stuck = fault.map(stuck_in_all_lanes);
+    let inputs = inputs.iter().copied();
+    let Ok(()) = frame::eval_frame(netlist, state, inputs, stuck.as_ref(), values);
 }
 
 /// Advances a 64-lane state vector by one frame (companion to
@@ -37,7 +39,13 @@ pub fn eval_frame_u64(
 ///
 /// Panics if `state` does not match the flip-flop count.
 pub fn next_state_u64(netlist: &Netlist, values: &[u64], fault: Option<Fault>, state: &mut [u64]) {
-    frame::next_state(netlist, values, fault.map(Stuck::new), state);
+    let stuck = fault.map(stuck_in_all_lanes);
+    frame::next_state(netlist, values, stuck.as_ref(), state);
+}
+
+/// `fault`, forcing its stuck value in all 64 lanes.
+fn stuck_in_all_lanes(fault: Fault) -> Stuck<u64> {
+    Stuck::new(fault, u64::from(fault.stuck).wrapping_neg())
 }
 
 /// Broadcasts one Boolean vector into all 64 lanes.

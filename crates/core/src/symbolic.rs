@@ -30,11 +30,11 @@
 
 use motsim_bdd::{Bdd, BddError, BddManager, VarId};
 use motsim_logic::V3;
-use motsim_netlist::{GateKind, Netlist, NodeKind};
+use motsim_netlist::Netlist;
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
-use crate::frame::{self, Faulty, Sparse};
+use crate::frame::{self, Faulty, Sparse, Stuck};
 use crate::pattern::TestSequence;
 use crate::report::{BddUsage, Detection, FaultOutcome, SimOutcome};
 
@@ -62,42 +62,6 @@ impl std::fmt::Display for Strategy {
             Strategy::Rmot => "rMOT",
             Strategy::Mot => "MOT",
         })
-    }
-}
-
-/// Evaluates a gate over BDD operands.
-///
-/// # Errors
-///
-/// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or has the wrong arity for unary kinds.
-pub fn eval_gate_bdd(mgr: &BddManager, kind: GateKind, inputs: &[Bdd]) -> Result<Bdd, BddError> {
-    assert!(!inputs.is_empty(), "gate must have at least one input");
-    let fold = |init: Bdd, op: fn(&Bdd, &Bdd) -> Result<Bdd, BddError>| -> Result<Bdd, BddError> {
-        let mut acc = init;
-        for b in inputs {
-            acc = op(&acc, b)?;
-        }
-        Ok(acc)
-    };
-    match kind {
-        GateKind::And => fold(mgr.one(), Bdd::and),
-        GateKind::Nand => Ok(fold(mgr.one(), Bdd::and)?.not()),
-        GateKind::Or => fold(mgr.zero(), Bdd::or),
-        GateKind::Nor => Ok(fold(mgr.zero(), Bdd::or)?.not()),
-        GateKind::Xor => fold(mgr.zero(), Bdd::xor),
-        GateKind::Xnor => Ok(fold(mgr.zero(), Bdd::xor)?.not()),
-        GateKind::Not => {
-            assert_eq!(inputs.len(), 1, "NOT is unary");
-            Ok(inputs[0].not())
-        }
-        GateKind::Buf => {
-            assert_eq!(inputs.len(), 1, "BUFF is unary");
-            Ok(inputs[0].clone())
-        }
     }
 }
 
@@ -207,23 +171,13 @@ impl<'a> SymbolicTrueSim<'a> {
     ///
     /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
     pub(crate) fn eval(&self, inputs: &[bool]) -> Result<Vec<Bdd>, BddError> {
-        eval_frame_bdd(self.netlist, &self.mgr, &self.state, inputs)
-    }
-
-    /// The value each flip-flop stores from the frame `values`: the next
-    /// state.
-    pub(crate) fn next_state<'v>(&'v self, values: &'v [Bdd]) -> impl Iterator<Item = &'v Bdd> {
-        let netlist = self.netlist;
-        netlist
-            .dffs()
-            .iter()
-            .map(move |&q| &values[netlist.dff_d(q).index()])
+        eval_frame_bdd(self.netlist, &self.mgr, &self.state, inputs, None)
     }
 
     /// Advances by one frame whose per-net values [`eval`](Self::eval)
     /// returned.
     pub(crate) fn commit(&mut self, values: Vec<Bdd>) {
-        self.state = self.next_state(&values).cloned().collect();
+        frame::next_state(self.netlist, &values, None, &mut self.state);
         self.values = values;
         self.frame += 1;
     }
@@ -253,36 +207,29 @@ impl<'a> SymbolicTrueSim<'a> {
     }
 }
 
-/// Evaluates one combinational frame symbolically.
+/// Evaluates one combinational frame symbolically (one function per net),
+/// with the stuck-at `fault`, if any, forced where every engine forces it:
+/// at its stem, gate input pin or D pin. A D-pin fault acts only on the
+/// next state, so it leaves this frame unchanged.
 ///
 /// # Errors
 ///
 /// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
+///
+/// # Panics
+///
+/// Panics if `inputs`/`state` lengths do not match the circuit.
 pub fn eval_frame_bdd(
     netlist: &Netlist,
     mgr: &BddManager,
     state: &[Bdd],
     inputs: &[bool],
+    fault: Option<Fault>,
 ) -> Result<Vec<Bdd>, BddError> {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
     let mut values = vec![mgr.zero(); netlist.num_nets()];
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = mgr.constant(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i].clone();
-    }
-    let mut fanin_buf: Vec<Bdd> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin_buf.clear();
-        fanin_buf.extend(net.fanin().iter().map(|f| values[f.index()].clone()));
-        values[g.index()] = eval_gate_bdd(mgr, kind, &fanin_buf)?;
-    }
+    let stuck = fault.map(|f| Stuck::new(f, mgr.constant(f.stuck)));
+    let inputs = inputs.iter().map(|&b| mgr.constant(b));
+    frame::eval_frame(netlist, state, inputs, stuck.as_ref(), &mut values)?;
     Ok(values)
 }
 
@@ -735,7 +682,6 @@ impl<'a> SymbolicFaultSim<'a> {
                 rec.state.iter().cloned(),
                 rec.fault,
                 good.mgr.constant(rec.fault.stuck),
-                |kind, pins| eval_gate_bdd(&good.mgr, kind, pins),
             )?;
             let (det, detection) =
                 frame.observe(self.strategy, &faulty, &rec.det, good.frame, &mut skipped)?;

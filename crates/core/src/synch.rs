@@ -16,6 +16,7 @@
 use motsim_netlist::Netlist;
 use motsim_rng::SmallRng;
 
+use crate::frame;
 use crate::pattern::TestSequence;
 use crate::sim3::TrueSim;
 use crate::symbolic::SymbolicTrueSim;
@@ -134,7 +135,9 @@ pub fn find_synchronizing_sequence(netlist: &Netlist, config: SynchConfig) -> Op
         for _ in 0..CANDIDATES {
             let cand: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
             let values = sym.eval(&cand).expect("unlimited");
-            let known = sym.next_state(&values).filter(|b| b.is_const()).count();
+            let mut next = sym.state().to_vec();
+            frame::next_state(netlist, &values, None, &mut next);
+            let known = next.iter().filter(|b| b.is_const()).count();
             if best.as_ref().is_none_or(|(k, ..)| known > *k) {
                 best = Some((known, cand, values));
             }

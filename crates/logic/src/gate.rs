@@ -7,11 +7,8 @@ use motsim_netlist::GateKind;
 use crate::V3;
 
 /// A value domain for gate evaluation, implemented for [`V3`] and for `u64`
-/// (64 independent Boolean lanes). `Default` is the value of a net not yet
-/// evaluated (`X`, resp. all lanes 0).
-pub trait Logic: Copy + Default + Not<Output = Self> {
-    /// The known constant `b` (in every lane).
-    fn from_bool(b: bool) -> Self;
+/// (64 independent Boolean lanes).
+pub trait Logic: Copy + Not<Output = Self> {
     /// Conjunction.
     fn and(self, other: Self) -> Self;
     /// Disjunction.
@@ -21,11 +18,6 @@ pub trait Logic: Copy + Default + Not<Output = Self> {
 }
 
 impl Logic for u64 {
-    #[inline]
-    fn from_bool(b: bool) -> Self {
-        u64::from(b).wrapping_neg()
-    }
-
     #[inline]
     fn and(self, other: Self) -> Self {
         self & other
@@ -43,11 +35,6 @@ impl Logic for u64 {
 }
 
 impl Logic for V3 {
-    #[inline]
-    fn from_bool(b: bool) -> Self {
-        V3::from_bool(b)
-    }
-
     #[inline]
     fn and(self, other: Self) -> Self {
         V3::and(self, other)

@@ -112,18 +112,7 @@ impl NetlistBuilder {
         kind: GateKind,
         fanin: Vec<NetId>,
     ) -> Result<NetId, NetlistError> {
-        let ok = if kind.is_unary() {
-            fanin.len() == 1
-        } else {
-            !fanin.is_empty()
-        };
-        if !ok {
-            return Err(NetlistError::BadArity {
-                gate: name.to_owned(),
-                kind,
-                arity: fanin.len(),
-            });
-        }
+        check_arity(name, kind, &fanin)?;
         self.intern(name, NodeKind::Gate(kind), fanin)
     }
 
@@ -147,15 +136,13 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::NotADff`]-style misuse errors as
-    /// [`NetlistError::BadArity`] (wrong arity) or
-    /// [`NetlistError::DffAlreadyConnected`]-analogous
-    /// [`NetlistError::DuplicateName`] is never produced here; connecting a
-    /// gate twice or connecting a non-gate is a programming error and panics.
+    /// Returns [`NetlistError::BadArity`] if the arity does not fit the
+    /// gate's kind, as [`add_gate`](Self::add_gate) does.
     ///
     /// # Panics
     ///
-    /// Panics if `gate` is not a gate or already has fanins.
+    /// Panics if `gate` is not a gate or already has fanins: both are
+    /// programming errors.
     pub fn connect_gate(&mut self, gate: NetId, fanin: Vec<NetId>) -> Result<(), NetlistError> {
         let net = &self.nets[gate.index()];
         let NodeKind::Gate(kind) = net.kind else {
@@ -166,18 +153,7 @@ impl NetlistBuilder {
             "gate `{}` already connected",
             net.name
         );
-        let ok = if kind.is_unary() {
-            fanin.len() == 1
-        } else {
-            !fanin.is_empty()
-        };
-        if !ok {
-            return Err(NetlistError::BadArity {
-                gate: net.name.clone(),
-                kind,
-                arity: fanin.len(),
-            });
-        }
+        check_arity(&net.name, kind, &fanin)?;
         self.nets[gate.index()].fanin = fanin;
         Ok(())
     }
@@ -331,6 +307,25 @@ impl NetlistBuilder {
             fanouts,
             eval_order,
             level,
+        })
+    }
+}
+
+/// Checks a gate's arity: unary kinds take exactly one input, the others
+/// at least one.
+fn check_arity(gate: &str, kind: GateKind, fanin: &[NetId]) -> Result<(), NetlistError> {
+    let ok = if kind.is_unary() {
+        fanin.len() == 1
+    } else {
+        !fanin.is_empty()
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(NetlistError::BadArity {
+            gate: gate.to_owned(),
+            kind,
+            arity: fanin.len(),
         })
     }
 }
