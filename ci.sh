@@ -200,14 +200,21 @@ Node-limit sweep: hybrid MOT on g420 / g526 (50 random vectors)
      g526   120000      0         46        0
 PINNED
 
-echo "==> smoke: test evaluation (g5378 testeval, Table IV)"
-# The default g5378 sequence pins its symbolic output sequence's size and
-# prefix, and where a one-bit corruption collapses the product. Table IV
-# asserts that every fault-free response is accepted; with the evaluation
-# time column stripped, every row (BDD size, asterisk, prefix) is pinned.
+echo "==> smoke: test evaluation (g5378 and g953 testeval, Table IV)"
+# The default g5378 and g953 sequences pin their symbolic output sequences'
+# size and prefix, the fault-free response's witness count, and where a
+# one-bit corruption collapses the product; g953's sequence starts with a
+# four-frame three-valued prefix. Table IV asserts that every fault-free
+# response is accepted; with the evaluation time column stripped, every row
+# (BDD size, asterisk, prefix) is pinned.
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g5378 >"$TRACE_DIR/testeval.txt"
 grep -q "shared BDD size 261, prefix 1" "$TRACE_DIR/testeval.txt"
+grep -qF "(≥ 2^128 witness state(s))" "$TRACE_DIR/testeval.txt"
 grep -q "corrupted response rejected (product collapsed at frame 0, output 2)" "$TRACE_DIR/testeval.txt"
+cargo run --release -q -p motsim-cli --bin motsim -- testeval g953 >"$TRACE_DIR/testeval_g953.txt"
+grep -q "shared BDD size 33, prefix 4" "$TRACE_DIR/testeval_g953.txt"
+grep -qF "(1048576 witness state(s))" "$TRACE_DIR/testeval_g953.txt"
+grep -q "corrupted response rejected (product collapsed at frame 0, output 10)" "$TRACE_DIR/testeval_g953.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick |
   sed -E 's/ +[0-9.]+$//' >"$TRACE_DIR/table4.txt"
 diff - "$TRACE_DIR/table4.txt" <<'PINNED'

@@ -18,6 +18,7 @@
 //! | `bench-round-trip` | `.bench` write → parse → write is a fixpoint |
 //! | `xred-sound` | `ID_X-red` never discards a three-valued-detectable fault |
 //! | `symbolic-refines-sim3` | symbolic values agree with every known three-valued value |
+//! | `testeval-exhaustive` | test evaluation accepts exactly the enumerated fault-free responses (Section IV.B) |
 
 use crate::{forall, Config, Counterexample, SimCase};
 use motsim::engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};
@@ -28,6 +29,7 @@ use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
 use motsim::sim3::TrueSim;
 use motsim::symbolic::{eval_frame_bdd, Strategy, SymbolicFaultSim, SymbolicTrueSim};
+use motsim::testeval::{SymbolicOutputSequence, TestVerdict};
 use motsim::xred::XRedAnalysis;
 use motsim::Fault;
 use motsim_bdd::{Bdd, BddManager, VarId};
@@ -35,6 +37,7 @@ use motsim_engine::{run_traced, EngineKind, Job};
 use motsim_netlist::Netlist;
 use motsim_rng::SmallRng;
 use motsim_trace::CollectSink;
+use std::collections::BTreeMap;
 
 /// One cross-engine law.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +90,10 @@ pub fn all_laws() -> Vec<Law> {
         Law {
             name: "symbolic-refines-sim3",
             run: symbolic_refines_sim3,
+        },
+        Law {
+            name: "testeval-exhaustive",
+            run: testeval_exhaustive,
         },
     ]
 }
@@ -521,6 +528,94 @@ fn symbolic_refines_sim3(case: &SimCase) -> Result<(), String> {
     Ok(())
 }
 
+/// Test evaluation against the enumeration of every initial state (the
+/// `u64`-lane kernel of the exhaustive oracle). Without a limit, each
+/// fault-free response is consistent with exactly the initial states that
+/// produce it, and a response with one or two bits flipped is faulty iff
+/// no state produces it, rejected at the first (frame, output) where no
+/// state agrees with it so far. Under a limit a few nodes above the
+/// literals, which forces a three-valued prefix on about half the cases,
+/// a response is rejected only if no state produces it, and never before
+/// that first (frame, output).
+fn testeval_exhaustive(case: &SimCase) -> Result<(), String> {
+    let (netlist, seq) = (&case.netlist, &case.seq);
+    let matrix = Oracle::new()
+        .response_matrix(netlist, seq, None)
+        .map_err(|e| format!("oracle failed: {e}"))?;
+    let l = netlist.num_outputs();
+    // Every produced response, flattened in (frame, output) order, with the
+    // number of initial states producing it.
+    let mut produced: BTreeMap<Vec<bool>, u128> = BTreeMap::new();
+    for p in 0..matrix.num_states() {
+        let bits = (0..seq.len() * l)
+            .map(|b| matrix.output(p, b / l, b % l))
+            .collect();
+        *produced.entry(bits).or_default() += 1;
+    }
+    // The enumeration's verdict: consistent with the producing states, or
+    // faulty at the first bit no state agrees with (the longest prefix
+    // shared with any produced response is shared with a neighbour in
+    // lexicographic order).
+    let expected = |bits: &Vec<bool>| {
+        if let Some(&witnesses) = produced.get(bits) {
+            return TestVerdict::Consistent { witnesses };
+        }
+        let shared = |other: &Vec<bool>| bits.iter().zip(other).take_while(|(a, b)| a == b).count();
+        let before = produced.range(..bits.clone()).next_back();
+        let after = produced.range(bits.clone()..).next();
+        let agree = before
+            .into_iter()
+            .chain(after)
+            .map(|(r, _)| shared(r))
+            .max()
+            .unwrap_or(0);
+        TestVerdict::Faulty {
+            frame: agree / l,
+            output: agree % l,
+        }
+    };
+    let frames = |bits: &[bool]| bits.chunks(l).map(<[bool]>::to_vec).collect::<Vec<_>>();
+    // Every produced response, then per (frame, output) position and per
+    // produced response one corruption of a single bit and one of two.
+    let good: Vec<&Vec<bool>> = produced.keys().collect();
+    let width = seq.len() * l;
+    let corrupted: Vec<Vec<bool>> = (0..width.max(good.len()))
+        .flat_map(|k| {
+            let mut one = good[k % good.len()].clone();
+            one[k % width] ^= true;
+            let mut two = one.clone();
+            two[(5 * k + 1) % width] ^= true;
+            [one, two]
+        })
+        .collect();
+    let exact = SymbolicOutputSequence::compute(netlist, seq, None);
+    for bits in good.iter().copied().chain(&corrupted) {
+        let (got, want) = (exact.evaluate(&frames(bits)), expected(bits));
+        if got != want {
+            return fail(format!(
+                "response {bits:?}: evaluation says {got:?}, the enumeration {want:?}"
+            ));
+        }
+    }
+    let rejected_at = |v| match v {
+        TestVerdict::Faulty { frame, output } => Some((frame, output)),
+        TestVerdict::Consistent { .. } => None,
+    };
+    let limited = SymbolicOutputSequence::compute(netlist, seq, Some(netlist.num_dffs() + 2));
+    for bits in good.iter().copied().chain(&corrupted) {
+        let (got, want) = (limited.evaluate(&frames(bits)), expected(bits));
+        let sound = rejected_at(got).is_none_or(|g| rejected_at(want).is_some_and(|w| w <= g));
+        if !sound {
+            return fail(format!(
+                "response {bits:?} after a {}-frame prefix: evaluation says {got:?}, \
+                 the enumeration {want:?}",
+                limited.prefix_len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,10 +623,28 @@ mod tests {
     #[test]
     fn law_list_is_stable() {
         let names: Vec<&str> = all_laws().iter().map(|l| l.name).collect();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 11);
         assert!(names.contains(&"oracle-agreement"));
         assert!(names.contains(&"units-invariance"));
         assert!(names.contains(&"lemma1-rename-invariance"));
+    }
+
+    #[test]
+    fn testeval_exhaustive_enumerates_sixteen_flip_flops() {
+        let case = SimCase::build(crate::CaseParams {
+            family: crate::Family::Random,
+            circuit_seed: 7,
+            inputs: 3,
+            outputs: 3,
+            dffs: 16,
+            gates: 40,
+            frames: 6,
+            seq_seed: 7,
+            fault_lo: 0,
+            fault_len: 0,
+        });
+        assert_eq!(case.netlist.num_dffs(), 16);
+        testeval_exhaustive(&case).unwrap();
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! step by step; the device is faulty iff the product collapses to **0**
 //! (no initial state explains the response).
 //!
+//! Most output functions are constants: on g5378, after a one-frame
+//! prefix, 9,726 of the 9,751 are 0 or 1. Those are known values, and
+//! comparing a known value with the response decides its factor
+//! (`[b ≡ c]` is 1 or 0) without the BDD package. So each frame is split
+//! once, when the sequence is built, into its known outputs and its few
+//! state-dependent ones, and only the latter enter the product.
+//!
 //! When the OBDDs exceed the node limit, a three-valued *prefix* is used:
 //! the first frames are checked with the pessimistic rule (a known
 //! fault-free value that contradicts the response proves faultiness), and
@@ -29,16 +36,54 @@ use crate::report::BddUsage;
 use crate::sim3::TrueSim;
 use crate::symbolic::SymbolicTrueSim;
 
-/// The symbolic output sequence of the fault-free circuit: one BDD per
-/// (frame, output) from the symbolic suffix, plus the three-valued values
-/// of the prefix frames (empty unless a node limit forced a prefix).
+/// The symbolic output sequence of the fault-free circuit, one frame per
+/// test vector: three-valued prefix frames (none unless a node limit
+/// forced a prefix) followed by the frames of the symbolic suffix.
 #[derive(Debug)]
 pub struct SymbolicOutputSequence {
     mgr: BddManager,
-    /// Three-valued outputs of the prefix frames.
-    prefix: Vec<Vec<V3>>,
-    /// Symbolic outputs of the remaining frames.
-    frames: Vec<Vec<Bdd>>,
+    /// Every frame in time order; the first `prefix_len` are three-valued.
+    frames: Vec<Frame>,
+    /// Number of prefix frames.
+    prefix_len: usize,
+}
+
+/// What one frame expects of a response.
+#[derive(Debug)]
+struct Frame {
+    /// Per output: the fault-free value where it is known, `X` where it
+    /// depends on the initial state or the prefix does not know it.
+    known: Vec<V3>,
+    /// `(j, o_j(x,t))` for every output whose function is not a constant,
+    /// in output order (empty in a prefix frame).
+    symbolic: Vec<(usize, Bdd)>,
+}
+
+impl Frame {
+    /// A symbolic frame: constant outputs become known values.
+    fn symbolic(outputs: Vec<Bdd>) -> Frame {
+        let mut symbolic = Vec::new();
+        let known = outputs
+            .into_iter()
+            .enumerate()
+            .map(|(j, o)| match o.const_value() {
+                Some(b) => V3::from_bool(b),
+                None => {
+                    symbolic.push((j, o));
+                    V3::X
+                }
+            })
+            .collect();
+        Frame { known, symbolic }
+    }
+
+    /// A prefix frame: the three-valued outputs alone.
+    fn prefix(known: Vec<V3>) -> Frame {
+        Frame {
+            known,
+            symbolic: Vec::new(),
+        }
+    }
 }
 
 impl SymbolicOutputSequence {
@@ -54,6 +99,10 @@ impl SymbolicOutputSequence {
     /// [`SymbolicTrueSim`]), so the limit bounds every node allocated since
     /// the restart, dead ones included, not only the live functions.
     ///
+    /// Each symbolic frame is split once, here: outputs whose function is
+    /// a constant become known values, and only the others are kept as
+    /// BDDs for [`evaluate`](Self::evaluate)'s product.
+    ///
     /// # Example
     ///
     /// ```
@@ -67,10 +116,11 @@ impl SymbolicOutputSequence {
     /// assert!(!sos.evaluate(&response).is_faulty());
     /// ```
     pub fn compute(netlist: &Netlist, seq: &TestSequence, node_limit: Option<usize>) -> Self {
-        let mut prefix: Vec<Vec<V3>> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
         let mut v3 = TrueSim::new(netlist);
-        let mut t0 = 0usize;
         'outer: loop {
+            // The three-valued simulator has run exactly the prefix.
+            let t0 = v3.frames();
             let mgr = BddManager::new();
             mgr.set_node_limit(node_limit);
             let mut sym = SymbolicTrueSim::with_manager(netlist, mgr);
@@ -79,27 +129,24 @@ impl SymbolicOutputSequence {
                 let state = sym.lift(v3.state());
                 sym.seed_state(state);
             }
-            let mut frames: Vec<Vec<Bdd>> = Vec::new();
-            #[allow(clippy::mut_range_bound)] // t0 feeds the *next* 'outer pass
             for t in t0..seq.len() {
                 match sym.step(seq.vector(t)) {
-                    Ok(()) => frames.push(sym.outputs()),
+                    Ok(()) => frames.push(Frame::symbolic(sym.outputs())),
                     Err(BddError::NodeLimit { .. }) => {
                         // Extend the prefix past frame t and retry.
+                        frames.truncate(t0);
                         while v3.frames() <= t {
-                            let ft = v3.frames();
-                            v3.step(seq.vector(ft));
-                            prefix.push(v3.outputs());
+                            v3.step(seq.vector(v3.frames()));
+                            frames.push(Frame::prefix(v3.outputs()));
                         }
-                        t0 = t + 1;
                         continue 'outer;
                     }
                 }
             }
             return SymbolicOutputSequence {
                 mgr: sym.manager().clone(),
-                prefix,
                 frames,
+                prefix_len: t0,
             };
         }
     }
@@ -107,12 +154,12 @@ impl SymbolicOutputSequence {
     /// Number of prefix frames evaluated three-valued (0 = fully symbolic;
     /// the asterisk of Table IV).
     pub fn prefix_len(&self) -> usize {
-        self.prefix.len()
+        self.prefix_len
     }
 
     /// Total frames covered (prefix + symbolic).
     pub fn len(&self) -> usize {
-        self.prefix.len() + self.frames.len()
+        self.frames.len()
     }
 
     /// Returns `true` if no frames are covered.
@@ -122,9 +169,14 @@ impl SymbolicOutputSequence {
 
     /// Shared BDD size of the symbolic output sequence (the "BDD Size"
     /// column of Table IV): distinct internal nodes over all (frame,
-    /// output) functions.
+    /// output) functions. Constant outputs have none, so the non-constant
+    /// functions kept for the product are all it counts.
     pub fn bdd_size(&self) -> usize {
-        let roots: Vec<&Bdd> = self.frames.iter().flatten().collect();
+        let roots: Vec<&Bdd> = self
+            .frames
+            .iter()
+            .flat_map(|f| f.symbolic.iter().map(|(_, o)| o))
+            .collect();
         self.mgr.shared_size(&roots)
     }
 
@@ -135,6 +187,15 @@ impl SymbolicOutputSequence {
     }
 
     /// Evaluates a device response against the sequence.
+    ///
+    /// One pass over the frames in (frame, output) order. A known output
+    /// (a constant fault-free value, or a value the three-valued prefix
+    /// knows) is compared with the response directly: a mismatch proves
+    /// the device faulty there. Only outputs that depend on the initial
+    /// state enter the running product `∏ [o_j(x,t) ≡ c_j(t)]`, and the
+    /// device is faulty where it collapses to 0. Skipping the known
+    /// outputs leaves the BDD operations unchanged: `∧`-ing a constant
+    /// term returns in ITE's terminal cases, before the computed cache.
     ///
     /// The running product is built in the manager the sequence was
     /// computed in, under the same node limit. Each call leaves its product
@@ -157,35 +218,22 @@ impl SymbolicOutputSequence {
     /// [`evaluate`](Self::evaluate), which may leave the node limit lifted.
     fn evaluate_unrestored(&self, response: &[Vec<bool>]) -> TestVerdict {
         assert_eq!(response.len(), self.len(), "response length mismatch");
-        // Prefix: pessimistic three-valued comparison.
-        for (t, (expect, got)) in self.prefix.iter().zip(response).enumerate() {
-            assert_eq!(got.len(), expect.len(), "response width mismatch");
-            for (j, (&e, &g)) in expect.iter().zip(got).enumerate() {
-                if let Some(b) = e.to_bool() {
-                    if b != g {
-                        return TestVerdict::Faulty {
-                            frame: t,
-                            output: j,
-                        };
-                    }
-                }
-            }
-        }
-        // Symbolic part: the running product ∏ [o_j(x,t) ≡ c_j(t)].
         let mut product = self.mgr.one();
-        for (dt, (frame, got)) in self
-            .frames
-            .iter()
-            .zip(&response[self.prefix.len()..])
-            .enumerate()
-        {
-            assert_eq!(got.len(), frame.len(), "response width mismatch");
-            for (j, (o, &c)) in frame.iter().zip(got).enumerate() {
-                let term = if c { o.clone() } else { o.not() };
-                product = self.and_collecting(&product, &term);
-                if product.is_false() {
+        for (t, (frame, got)) in self.frames.iter().zip(response).enumerate() {
+            assert_eq!(got.len(), frame.known.len(), "response width mismatch");
+            let mut terms = frame.symbolic.iter().peekable();
+            for (j, (&expect, &c)) in frame.known.iter().zip(got).enumerate() {
+                let contradicted = match expect.to_bool() {
+                    Some(b) => b != c,
+                    None => terms.next_if(|&&(k, _)| k == j).is_some_and(|(_, o)| {
+                        let term = if c { o.clone() } else { o.not() };
+                        product = self.and_collecting(&product, &term);
+                        product.is_false()
+                    }),
+                };
+                if contradicted {
                     return TestVerdict::Faulty {
-                        frame: self.prefix.len() + dt,
+                        frame: t,
                         output: j,
                     };
                 }
@@ -372,6 +420,39 @@ mod tests {
                 fault.display(&n)
             );
         }
+    }
+
+    #[test]
+    fn mixed_frame_names_the_first_contradiction() {
+        // Outputs q, q, a, q of one held flip-flop q and the input a: in
+        // each frame outputs 0, 1 and 3 are the symbolic x, output 2 is
+        // known.
+        let n = motsim_netlist::parse::parse_bench(
+            "mixed",
+            "INPUT(a)\nOUTPUT(o0)\nOUTPUT(o1)\nOUTPUT(o2)\nOUTPUT(o3)\n\
+             q = DFF(q)\no0 = BUFF(q)\no1 = BUFF(q)\no2 = BUFF(a)\no3 = BUFF(q)\n",
+        )
+        .unwrap();
+        let seq = TestSequence::new(1, vec![vec![true]]);
+        let sos = SymbolicOutputSequence::compute(&n, &seq, None);
+        let frame = &sos.frames[0];
+        assert_eq!(frame.known, [V3::X, V3::X, V3::One, V3::X]);
+        assert_eq!(frame.symbolic.len(), 3);
+        let verdict = |response: [bool; 4]| sos.evaluate(&[response.to_vec()]);
+        let faulty = |output| TestVerdict::Faulty { frame: 0, output };
+        assert_eq!(
+            verdict([true, true, true, true]),
+            TestVerdict::Consistent { witnesses: 1 }
+        );
+        // The product collapses at symbolic output 1 before known output 2
+        // mismatches.
+        assert_eq!(verdict([true, false, false, true]), faulty(1));
+        // Known output 2 mismatches before the product collapses at 3.
+        assert_eq!(verdict([true, true, false, false]), faulty(2));
+        // Either contradiction alone is found where it is.
+        assert_eq!(verdict([true, false, true, true]), faulty(1));
+        assert_eq!(verdict([true, true, false, true]), faulty(2));
+        assert_eq!(verdict([true, true, true, false]), faulty(3));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The manager's bookkeeping (handle refcounts, traversal memos, the GC
 //! mark buffer) is pure representation: it must never change which nodes an
 //! operation creates, when the ITE cache hits, or when a collection runs.
-//! These tests pin the [`BddUsage`] counters of two fixed runs, so a change
+//! These tests pin the [`BddUsage`] counters of three fixed runs, so a change
 //! that moves a node index, a cache probe or a GC point shows up here as a
 //! counter mismatch even when every verdict survives it.
 //!
@@ -11,7 +11,8 @@
 //! collects *before* a frame that needs the space rather than after every
 //! frame past half the limit (DESIGN §9, "When the symbolic engine
 //! collects"); its GC count and the counters that follow from it record
-//! that rule. The test-evaluation pin never collects.
+//! that rule. The test-evaluation pins never collect; the g953 one covers a
+//! sequence that starts with a three-valued prefix.
 
 use motsim::faults::FaultList;
 use motsim::hybrid::HybridConfig;
@@ -97,6 +98,50 @@ fn testeval_g5378_usage_is_pinned() {
             cache_misses: 7_217,
             unique_lookups: 6_792,
             unique_probes: 19_839,
+            reorder_runs: 0,
+            reorder_swaps: 0,
+        }
+    );
+}
+
+/// `motsim testeval g953`: a prefixed sequence (Table IV's asterisk). Its
+/// first four frames run three-valued before the symbolic suffix fits the
+/// limit.
+#[test]
+fn testeval_g953_prefixed_usage_is_pinned() {
+    let n = motsim_circuits::suite::by_name("g953").unwrap();
+    let seq = TestSequence::random(&n, 200, SEED);
+    let sos = SymbolicOutputSequence::compute(&n, &seq, Some(30_000));
+    assert_eq!((sos.bdd_size(), sos.prefix_len()), (33, 4));
+    let built = sos.bdd_usage();
+    let good = reference_response(&n, &seq, &vec![false; n.num_dffs()]);
+    assert!(matches!(
+        sos.evaluate(&good),
+        TestVerdict::Consistent { .. }
+    ));
+    let evaluated = sos.bdd_usage();
+    assert_eq!(
+        built,
+        BddUsage {
+            peak_live_nodes: 83,
+            gc_runs: 0,
+            cache_hits: 4,
+            cache_misses: 60,
+            unique_lookups: 126,
+            unique_probes: 132,
+            reorder_runs: 0,
+            reorder_swaps: 0,
+        }
+    );
+    assert_eq!(
+        evaluated,
+        BddUsage {
+            peak_live_nodes: 114,
+            gc_runs: 0,
+            cache_hits: 18,
+            cache_misses: 155,
+            unique_lookups: 206,
+            unique_probes: 214,
             reorder_runs: 0,
             reorder_swaps: 0,
         }

@@ -87,6 +87,11 @@ fn symbolic_refines_sim3() {
     run_law("symbolic-refines-sim3");
 }
 
+#[test]
+fn testeval_exhaustive() {
+    run_law("testeval-exhaustive");
+}
+
 /// End-to-end shrinker demonstration: a test-only engine with one flipped
 /// verdict is caught by the harness and the failing case is shrunk to a
 /// minimal reproducer — at most 8 gates and 4 frames.
