@@ -228,6 +228,25 @@ Table IV: symbolic test evaluation (30,000-node limit)
      g838    1    50        63       0
 PINNED
 
+echo "==> smoke: controllability (static ID_X-red and SCOAP on g838, g5378)"
+# Both analyses read one controllability pass. With the time stripped, the
+# static ID_X-red counts and the SCOAP untestable counts are pinned, and so
+# is a checksum of every CC0/CC1/CO cell SCOAP prints for g5378.
+for c in g838 g5378; do
+  cargo run --release -q -p motsim-cli --bin motsim -- xred "$c" --static 2>/dev/null |
+    sed -E 's/, [0-9.]+[a-zµ]*s\)$/)/'
+  cargo run --release -q -p motsim-cli --bin motsim -- scoap "$c" 2>&1 >/dev/null
+done >"$TRACE_DIR/controllability.txt"
+diff - "$TRACE_DIR/controllability.txt" <<'PINNED'
+107 of 502 faults are X-redundant (for ANY sequence)
+395 faults remain for simulation
+499 of 502 collapsed faults are SCOAP-untestable
+4262 of 7638 faults are X-redundant (for ANY sequence)
+3376 faults remain for simulation
+3664 of 7638 collapsed faults are SCOAP-untestable
+PINNED
+test "$(cargo run --release -q -p motsim-cli --bin motsim -- scoap g5378 2>/dev/null | cksum)" = "2518255165 70200"
+
 echo "==> examples (release, their asserts enabled)"
 for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null

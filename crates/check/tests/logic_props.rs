@@ -1,19 +1,15 @@
-//! Property tests of the logic crate: algebraic laws of `V3` and the
-//! Galois-style relationship between `V3` simulation and `V4` abstraction.
+//! Property tests of the logic crate: algebraic laws of `V3` and its
+//! gate evaluation.
 //! Driven by the `motsim-check` harness, so they run in the default
 //! offline `cargo test`.
 
 use motsim_check::{forall, Config, NoShrink};
-use motsim_logic::{eval_gate, eval_gate_v4, V3, V4};
+use motsim_logic::{eval_gate, V3};
 use motsim_netlist::GateKind;
 use motsim_rng::SmallRng;
 
 fn gen_v3(rng: &mut SmallRng) -> V3 {
     [V3::Zero, V3::One, V3::X][rng.gen_range(0..3)]
-}
-
-fn gen_v4(rng: &mut SmallRng) -> V4 {
-    [V4::X, V4::X0, V4::X1, V4::X01][rng.gen_range(0..4)]
 }
 
 fn gen_kind(rng: &mut SmallRng) -> GateKind {
@@ -25,28 +21,6 @@ fn gen_kind(rng: &mut SmallRng) -> GateKind {
         GateKind::Xor,
         GateKind::Xnor,
     ][rng.gen_range(0..6)]
-}
-
-/// A concrete value that is a member of `v4` (so soundness cases are built
-/// by construction instead of generate-and-discard).
-fn gen_member_of(rng: &mut SmallRng, v4: V4) -> V3 {
-    let mut pool = vec![V3::X];
-    if v4.has_zero() {
-        pool.push(V3::Zero);
-    }
-    if v4.has_one() {
-        pool.push(V3::One);
-    }
-    pool[rng.gen_range(0..pool.len())]
-}
-
-/// v3 ∈ γ(v4): the concrete value is a member of the abstract set.
-fn member(v3: V3, v4: V4) -> bool {
-    match v3 {
-        V3::X => true,
-        V3::Zero => v4.has_zero(),
-        V3::One => v4.has_one(),
-    }
 }
 
 fn config() -> Config {
@@ -136,59 +110,6 @@ fn x_refinement_is_monotone() {
                 }
             }
             Ok(())
-        },
-    );
-}
-
-/// Soundness of the V4 transfer function: whenever concrete inputs are
-/// members of the abstract inputs, the concrete output is a member of the
-/// abstract output. (Members are generated by construction.)
-#[test]
-fn v4_transfer_is_sound() {
-    check(
-        "v4-transfer-is-sound",
-        |rng| {
-            let kind = gen_kind(rng);
-            let pairs: Vec<(V3, V4)> = (0..rng.gen_range(1..5))
-                .map(|_| {
-                    let a = gen_v4(rng);
-                    (gen_member_of(rng, a), a)
-                })
-                .collect();
-            (kind, pairs)
-        },
-        |(kind, pairs)| {
-            assert!(pairs.iter().all(|&(c, a)| member(c, a)));
-            let concrete: Vec<V3> = pairs.iter().map(|&(c, _)| c).collect();
-            let abst: Vec<V4> = pairs.iter().map(|&(_, a)| a).collect();
-            let out_c = eval_gate(*kind, &concrete);
-            let out_a = eval_gate_v4(*kind, &abst);
-            ensure(member(out_c, out_a), || {
-                format!("{kind}: {out_c} not in {out_a}")
-            })
-        },
-    );
-}
-
-/// Monotonicity of the V4 transfer function in the lattice order.
-#[test]
-fn v4_transfer_is_monotone() {
-    check(
-        "v4-transfer-is-monotone",
-        |rng| {
-            let kind = gen_kind(rng);
-            let len = rng.gen_range(1..4);
-            let lo: Vec<V4> = (0..len).map(|_| gen_v4(rng)).collect();
-            let grow: Vec<V4> = (0..len).map(|_| gen_v4(rng)).collect();
-            (kind, lo, grow)
-        },
-        |(kind, lo, grow)| {
-            let hi: Vec<V4> = lo.iter().zip(grow).map(|(a, b)| a.join(*b)).collect();
-            let out_lo = eval_gate_v4(*kind, lo);
-            let out_hi = eval_gate_v4(*kind, &hi);
-            ensure(out_lo.le(out_hi), || {
-                format!("{kind}: {out_lo} above {out_hi}")
-            })
         },
     );
 }

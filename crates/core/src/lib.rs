@@ -36,14 +36,16 @@
 //! node limit. The dense kernel, a single levelized frame pass and
 //! next-state step forcing at most one [`Fault`] in every lane, runs
 //! `simb`, `sim3`'s dense evaluation (the true-value simulator and the
-//! faulty-frame reference) and [`symbolic::eval_frame_bdd`]. Next to it,
+//! faulty-frame reference), [`symbolic::eval_frame_bdd`] and the SCOAP
+//! controllability of [`testability`], whose finiteness the static
+//! [`xred`] analysis reads. Next to it,
 //! one sparse pass implements event-driven single-fault propagation for
 //! both [`FaultSim3`](sim3::FaultSim3) (over `V3`) and
 //! [`SymbolicFaultSim`](symbolic::SymbolicFaultSim) (over BDDs); the two
 //! engines keep only their observation rules. The kernels alone decide
-//! where a stuck-at fault forces a value. Only the lattice passes of
-//! [`xred`] and [`testability`] are loops of their own, because they
-//! compute something else.
+//! where a stuck-at fault forces a value. Only the backward observability
+//! passes of [`xred`] and [`testability`] are loops of their own, because
+//! they run against the signal flow.
 //!
 //! Around the pipeline, the crate ships three analyses the paper's argument
 //! and the tests lean on:

@@ -72,9 +72,11 @@ impl std::fmt::Display for Strategy {
 /// [synchronization analysis](crate::synch), and as the fault-free machine
 /// of [`SymbolicFaultSim`].
 ///
-/// The simulator itself never garbage-collects its manager: standing alone,
-/// every node a frame allocates stays in the arena, so the arena grows with
-/// each frame and a node limit counts dead nodes too.
+/// Under a node limit the simulator never garbage-collects its manager:
+/// standing alone, every node a frame allocates stays in the arena, so the
+/// arena grows with each frame and the limit counts dead nodes too. Without
+/// a limit, [`step`](Self::step) collects once the arena passes 2^20 live
+/// nodes, the rule [`SymbolicFaultSim::step`] applies.
 #[derive(Debug)]
 pub struct SymbolicTrueSim<'a> {
     netlist: &'a Netlist,
@@ -152,7 +154,8 @@ impl<'a> SymbolicTrueSim<'a> {
             .collect()
     }
 
-    /// Applies one input vector.
+    /// Applies one input vector. Without a node limit, the manager is then
+    /// collected if it holds more than 2^20 live nodes.
     ///
     /// # Errors
     ///
@@ -161,6 +164,7 @@ impl<'a> SymbolicTrueSim<'a> {
     pub fn step(&mut self, inputs: &[bool]) -> Result<(), BddError> {
         let values = self.eval(inputs)?;
         self.commit(values);
+        collect_if_unlimited(&self.mgr);
         Ok(())
     }
 
@@ -292,10 +296,19 @@ pub struct SymbolicFaultSim<'a> {
     last_frame_created: usize,
 }
 
-/// Live nodes past which a run *without* a node limit collects at the end
-/// of a frame. Under a limit, [`SymbolicFaultSim::step`] collects before a
-/// frame instead, and only when the frame needs it.
+/// Live nodes past which a manager *without* a node limit is collected at
+/// the end of a frame or a test evaluation. Under a limit,
+/// [`SymbolicFaultSim::step`] collects before a frame instead, and only when
+/// the frame needs it, and nothing else collects.
 const UNLIMITED_GC_THRESHOLD: usize = 1 << 20;
+
+/// Collects `mgr` if it has no node limit and more than
+/// [`UNLIMITED_GC_THRESHOLD`] live nodes.
+pub(crate) fn collect_if_unlimited(mgr: &BddManager) {
+    if mgr.node_limit().is_none() && mgr.live_nodes() > UNLIMITED_GC_THRESHOLD {
+        mgr.gc();
+    }
+}
 
 /// How a frame attempt reacts to the node limit at a detection-term site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -580,9 +593,7 @@ impl<'a> SymbolicFaultSim<'a> {
     pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<(Fault, Detection)>, BddError> {
         let Some(limit) = self.manager().node_limit() else {
             let newly = self.step_attempt(inputs, Attempt::Collected)?;
-            if self.manager().live_nodes() > UNLIMITED_GC_THRESHOLD {
-                self.manager().gc();
-            }
+            collect_if_unlimited(self.manager());
             return Ok(newly);
         };
         let created = self.manager().stats().nodes_created;

@@ -12,26 +12,146 @@
 //!
 //! extended to sequential circuits by the usual flip-flop rules
 //! (`CC(Q) = CC(D) + 1`, `CO(D) = CO(Q) + 1`) and computed as monotone
-//! fixpoints over the feedback. Unreachable goals saturate at
-//! [`INFINITY`].
+//! fixpoints over the feedback.
+//!
+//! Controllability is a value domain of the dense frame kernel: a pair
+//! `(CC0, CC1)` per net, with AND taking the cheapest pin's 0 and the sum of
+//! the pins' 1s, OR its De Morgan dual, XOR the cheapest parity and NOT the
+//! swapped pair. One pass runs frames from all-unreachable flip-flops
+//! until the flip-flop costs settle; the static `ID_X-red` analysis
+//! ([`XRedAnalysis::analyze_static`]) reads its finiteness.
+//!
+//! Unreachable goals are [`INFINITY`]. A sum of finite costs saturates at
+//! `INFINITY - 1`, never at `INFINITY`, so a cost is infinite only where the
+//! rules cannot derive the goal at all, however large the circuit.
+//!
+//! [`XRedAnalysis::analyze_static`]: crate::xred::XRedAnalysis::analyze_static
 
+use std::convert::Infallible;
+use std::ops::Not;
+
+use motsim_logic::{fold_gate, Logic};
 use motsim_netlist::{GateKind, NetId, Netlist, NodeKind};
 
 use crate::faults::Fault;
+use crate::frame::{self, Domain};
 
 /// Saturation value for unattainable goals (e.g. a net that can never be
 /// driven to 1).
 pub const INFINITY: u32 = u32::MAX / 4;
 
+/// `a + b`: [`INFINITY`] if either is, and at most `INFINITY - 1` otherwise.
 fn sat_add(a: u32, b: u32) -> u32 {
-    a.saturating_add(b).min(INFINITY)
+    if a >= INFINITY || b >= INFINITY {
+        INFINITY
+    } else {
+        (a + b).min(INFINITY - 1)
+    }
+}
+
+/// The SCOAP controllability of a net: the cost of setting it to 0 and
+/// to 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cc {
+    pub(crate) zero: u32,
+    pub(crate) one: u32,
+}
+
+impl Cc {
+    /// Neither value can be set.
+    const UNREACHABLE: Cc = Cc {
+        zero: INFINITY,
+        one: INFINITY,
+    };
+
+    /// A primary input: either value costs 1.
+    const INPUT: Cc = Cc { zero: 1, one: 1 };
+
+    fn min(self, other: Cc) -> Cc {
+        Cc {
+            zero: self.zero.min(other.zero),
+            one: self.one.min(other.one),
+        }
+    }
+
+    fn plus_one(self) -> Cc {
+        Cc {
+            zero: sat_add(self.zero, 1),
+            one: sat_add(self.one, 1),
+        }
+    }
+}
+
+impl Not for Cc {
+    type Output = Cc;
+
+    fn not(self) -> Cc {
+        Cc {
+            zero: self.one,
+            one: self.zero,
+        }
+    }
+}
+
+impl Logic for Cc {
+    /// The cheapest pin's 0, or every pin's 1.
+    fn and(self, other: Cc) -> Cc {
+        Cc {
+            zero: self.zero.min(other.zero),
+            one: sat_add(self.one, other.one),
+        }
+    }
+
+    fn or(self, other: Cc) -> Cc {
+        !(!self).and(!other)
+    }
+
+    /// The cheapest way to reach each parity.
+    fn xor(self, other: Cc) -> Cc {
+        Cc {
+            zero: sat_add(self.zero, other.zero).min(sat_add(self.one, other.one)),
+            one: sat_add(self.zero, other.one).min(sat_add(self.one, other.zero)),
+        }
+    }
+}
+
+/// A gate costs one more than what it takes to set its pins.
+impl Domain for Cc {
+    type Error = Infallible;
+
+    fn gate(kind: GateKind, pins: impl Iterator<Item = Cc>) -> Result<Cc, Infallible> {
+        Ok(fold_gate(kind, pins).plus_one())
+    }
+}
+
+/// The controllability of every net: frames of the dense kernel from
+/// all-unreachable flip-flops, each flip-flop then taking
+/// `min(CC(Q), CC(D) + 1)`, until no flip-flop cost falls.
+///
+/// Flip-flop costs only fall and a gate's cost never rises when a pin's
+/// falls, so the last frame's gate costs are the least any frame reached.
+pub(crate) fn controllability(netlist: &Netlist) -> Vec<Cc> {
+    let mut state = vec![Cc::UNREACHABLE; netlist.num_dffs()];
+    let mut values = vec![Cc::UNREACHABLE; netlist.num_nets()];
+    loop {
+        let inputs = std::iter::repeat_n(Cc::INPUT, netlist.num_inputs());
+        let Ok(()) = frame::eval_frame(netlist, &state, inputs, None, &mut values);
+        let mut changed = false;
+        for (s, &q) in state.iter_mut().zip(netlist.dffs()) {
+            let next = s.min(values[netlist.dff_d(q).index()].plus_one());
+            changed |= next != *s;
+            *s = next;
+        }
+        if !changed {
+            return values;
+        }
+    }
 }
 
 /// SCOAP controllability/observability numbers for every net.
 #[derive(Debug, Clone)]
 pub struct Testability {
-    cc0: Vec<u32>,
-    cc1: Vec<u32>,
+    cc: Vec<Cc>,
     co: Vec<u32>,
 }
 
@@ -49,41 +169,10 @@ impl Testability {
     /// assert_eq!(t.cc0(g0), 1); // primary inputs cost 1
     /// ```
     pub fn analyze(netlist: &Netlist) -> Self {
-        let n = netlist.num_nets();
-        let mut cc0 = vec![INFINITY; n];
-        let mut cc1 = vec![INFINITY; n];
-        for &pi in netlist.inputs() {
-            cc0[pi.index()] = 1;
-            cc1[pi.index()] = 1;
-        }
-        // Controllability fixpoint (monotone decreasing).
-        loop {
-            let mut changed = false;
-            for &g in netlist.eval_order() {
-                let (c0, c1) = gate_controllability(netlist, g, &cc0, &cc1);
-                if c0 < cc0[g.index()] || c1 < cc1[g.index()] {
-                    cc0[g.index()] = cc0[g.index()].min(c0);
-                    cc1[g.index()] = cc1[g.index()].min(c1);
-                    changed = true;
-                }
-            }
-            for &q in netlist.dffs() {
-                let d = netlist.dff_d(q);
-                let c0 = sat_add(cc0[d.index()], 1);
-                let c1 = sat_add(cc1[d.index()], 1);
-                if c0 < cc0[q.index()] || c1 < cc1[q.index()] {
-                    cc0[q.index()] = cc0[q.index()].min(c0);
-                    cc1[q.index()] = cc1[q.index()].min(c1);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let cc = controllability(netlist);
 
         // Observability fixpoint.
-        let mut co = vec![INFINITY; n];
+        let mut co = vec![INFINITY; netlist.num_nets()];
         for &po in netlist.outputs() {
             co[po.index()] = 0;
         }
@@ -95,7 +184,7 @@ impl Testability {
                 match net.kind() {
                     NodeKind::Gate(kind) => {
                         for (pin, &f) in net.fanin().iter().enumerate() {
-                            let v = input_observability(netlist, id, kind, pin, &cc0, &cc1, &co);
+                            let v = input_observability(netlist, id, kind, pin, &cc, &co);
                             if v < co[f.index()] {
                                 co[f.index()] = v;
                                 changed = true;
@@ -118,17 +207,17 @@ impl Testability {
             }
         }
 
-        Testability { cc0, cc1, co }
+        Testability { cc, co }
     }
 
     /// Effort to drive `net` to 0.
     pub fn cc0(&self, net: NetId) -> u32 {
-        self.cc0[net.index()]
+        self.cc[net.index()].zero
     }
 
     /// Effort to drive `net` to 1.
     pub fn cc1(&self, net: NetId) -> u32 {
-        self.cc1[net.index()]
+        self.cc[net.index()].one
     }
 
     /// Effort to observe `net` at a primary output.
@@ -156,50 +245,12 @@ impl Testability {
     }
 }
 
-fn gate_controllability(netlist: &Netlist, g: NetId, cc0: &[u32], cc1: &[u32]) -> (u32, u32) {
-    let net = netlist.net(g);
-    let NodeKind::Gate(kind) = net.kind() else {
-        unreachable!("gate expected")
-    };
-    let ins = net.fanin();
-    let min0 = || ins.iter().map(|f| cc0[f.index()]).min().unwrap_or(INFINITY);
-    let min1 = || ins.iter().map(|f| cc1[f.index()]).min().unwrap_or(INFINITY);
-    let sum0 = || ins.iter().fold(0u32, |a, f| sat_add(a, cc0[f.index()]));
-    let sum1 = || ins.iter().fold(0u32, |a, f| sat_add(a, cc1[f.index()]));
-    let (c0, c1) = match kind {
-        GateKind::And => (min0(), sum1()),
-        GateKind::Nand => (sum1(), min0()),
-        GateKind::Or => (sum0(), min1()),
-        GateKind::Nor => (min1(), sum0()),
-        GateKind::Not => (cc1[ins[0].index()], cc0[ins[0].index()]),
-        GateKind::Buf => (cc0[ins[0].index()], cc1[ins[0].index()]),
-        GateKind::Xor | GateKind::Xnor => {
-            // Parity DP: cheapest way to reach even/odd parity.
-            let (mut even, mut odd) = (0u32, INFINITY);
-            for f in ins {
-                let (z, o) = (cc0[f.index()], cc1[f.index()]);
-                let new_even = sat_add(even, z).min(sat_add(odd, o));
-                let new_odd = sat_add(odd, z).min(sat_add(even, o));
-                even = new_even;
-                odd = new_odd;
-            }
-            if kind == GateKind::Xor {
-                (even, odd)
-            } else {
-                (odd, even)
-            }
-        }
-    };
-    (sat_add(c0, 1), sat_add(c1, 1))
-}
-
 fn input_observability(
     netlist: &Netlist,
     gate: NetId,
     kind: GateKind,
     pin: usize,
-    cc0: &[u32],
-    cc1: &[u32],
+    cc: &[Cc],
     co: &[u32],
 ) -> u32 {
     let out_co = co[gate.index()];
@@ -215,9 +266,9 @@ fn input_observability(
         // Side inputs must take the non-controlling value; XOR sides must
         // merely be set to a known value (cheapest of both).
         let side = match kind {
-            GateKind::And | GateKind::Nand => cc1[f.index()],
-            GateKind::Or | GateKind::Nor => cc0[f.index()],
-            GateKind::Xor | GateKind::Xnor => cc0[f.index()].min(cc1[f.index()]),
+            GateKind::And | GateKind::Nand => cc[f.index()].one,
+            GateKind::Or | GateKind::Nor => cc[f.index()].zero,
+            GateKind::Xor | GateKind::Xnor => cc[f.index()].zero.min(cc[f.index()].one),
             GateKind::Not | GateKind::Buf => 0,
         };
         cost = sat_add(cost, side);
@@ -228,8 +279,116 @@ fn input_observability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use motsim_logic::{eval_gate, V3};
     use motsim_netlist::builder::NetlistBuilder;
     use motsim_netlist::Lead;
+
+    fn gate(kind: GateKind, pins: &[Cc]) -> Cc {
+        let Ok(out) = Cc::gate(kind, pins.iter().copied());
+        out
+    }
+
+    /// Every (kind, arity) the gate rules must hold for: arities 1-3, and
+    /// only 1 for the unary kinds.
+    fn shapes() -> impl Iterator<Item = (GateKind, usize)> {
+        GateKind::ALL.into_iter().flat_map(|kind| {
+            let max = if kind.is_unary() { 1 } else { 3 };
+            (1..=max).map(move |arity| (kind, arity))
+        })
+    }
+
+    /// Every vector whose `i`-th entry is drawn from `domains[i]`.
+    fn product<T: Clone>(domains: &[Vec<T>]) -> Vec<Vec<T>> {
+        domains.iter().fold(vec![Vec::new()], |acc, domain| {
+            acc.iter()
+                .flat_map(|prefix| {
+                    domain.iter().map(move |v| {
+                        let mut next = prefix.clone();
+                        next.push(v.clone());
+                        next
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Every vector of `arity` pins whose costs are drawn from `costs`.
+    fn all_pins(costs: &[u32], arity: usize) -> Vec<Vec<Cc>> {
+        let pairs: Vec<Cc> = costs
+            .iter()
+            .flat_map(|&zero| costs.iter().map(move |&one| Cc { zero, one }))
+            .collect();
+        product(&vec![pairs; arity])
+    }
+
+    /// A gate's `CC_b` is finite iff some assignment of reachable pin values
+    /// gives `b`, where a pin can always be `X` and can be `b'` iff its
+    /// `CC_b'` is finite. This is what static `ID_X-red` reads.
+    #[test]
+    fn finite_costs_are_exactly_the_reachable_values() {
+        for (kind, arity) in shapes() {
+            for pins in all_pins(&[2, INFINITY], arity) {
+                let reachable = |p: &Cc| {
+                    let mut values = vec![V3::X];
+                    if p.zero < INFINITY {
+                        values.push(V3::Zero);
+                    }
+                    if p.one < INFINITY {
+                        values.push(V3::One);
+                    }
+                    values
+                };
+                let domains: Vec<Vec<V3>> = pins.iter().map(reachable).collect();
+                let outs: Vec<V3> = product(&domains)
+                    .iter()
+                    .map(|a| eval_gate(kind, a))
+                    .collect();
+                let out = gate(kind, &pins);
+                let msg = format!("{kind} {pins:?}");
+                assert_eq!(out.zero < INFINITY, outs.contains(&V3::Zero), "{msg}");
+                assert_eq!(out.one < INFINITY, outs.contains(&V3::One), "{msg}");
+            }
+        }
+    }
+
+    /// Lowering a pin's cost never raises the gate's: why frames from the
+    /// settled flip-flop costs reach the least cost of every gate.
+    #[test]
+    fn lowering_a_pin_cost_never_raises_the_gate_cost() {
+        let costs = [1, 4, INFINITY - 1, INFINITY];
+        for (kind, arity) in shapes() {
+            for pins in all_pins(&costs, arity) {
+                let out = gate(kind, &pins);
+                for (pin, lower) in (0..arity).flat_map(|pin| costs.map(|c| (pin, c))) {
+                    let p = pins[pin];
+                    for lowered in [Cc { zero: lower, ..p }, Cc { one: lower, ..p }] {
+                        if lowered.zero > p.zero || lowered.one > p.one {
+                            continue;
+                        }
+                        let mut low = pins.clone();
+                        low[pin] = lowered;
+                        let low_out = gate(kind, &low);
+                        assert!(
+                            low_out.zero <= out.zero && low_out.one <= out.one,
+                            "{kind} {pins:?} -> {low:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// On g838 a chain of finite sums passes `INFINITY`; the nets it feeds
+    /// can still be set to 1, so their `CC1` stays finite.
+    #[test]
+    fn sums_of_finite_costs_stay_finite_on_g838() {
+        let n = motsim_circuits::suite::by_name("g838").unwrap();
+        let t = Testability::analyze(&n);
+        for name in ["B27", "C26", "C27", "D27", "S27"] {
+            let cc1 = t.cc1(n.find(name).unwrap());
+            assert!(cc1 < INFINITY, "CC1({name}) = {cc1}");
+        }
+    }
 
     #[test]
     fn textbook_and_gate() {
@@ -313,25 +472,6 @@ mod tests {
         let t = Testability::analyze(&n);
         assert!(t.co(g) >= INFINITY);
         assert_eq!(t.co(a), 1);
-    }
-
-    #[test]
-    fn scoap_untestable_implies_xred_static() {
-        // SCOAP untestability (structural) must imply the static X-red
-        // analysis flags the fault too (its model is strictly more
-        // pessimistic about X-propagation, never less about structure).
-        let n = motsim_circuits::suite::by_name("g298").unwrap();
-        let t = Testability::analyze(&n);
-        let xred = crate::xred::XRedAnalysis::analyze_static(&n);
-        for f in crate::faults::FaultList::complete(&n).iter() {
-            if t.is_untestable(*f) {
-                assert!(
-                    xred.is_undetectable(*f),
-                    "SCOAP says untestable but static X-red disagrees: {}",
-                    f.display(&n)
-                );
-            }
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use motsim_netlist::Netlist;
 use crate::pattern::TestSequence;
 use crate::report::BddUsage;
 use crate::sim3::TrueSim;
-use crate::symbolic::SymbolicTrueSim;
+use crate::symbolic::{collect_if_unlimited, SymbolicTrueSim};
 
 /// The symbolic output sequence of the fault-free circuit, one frame per
 /// test vector: three-valued prefix frames (none unless a node limit
@@ -95,9 +95,9 @@ impl SymbolicOutputSequence {
     /// symbolic part restarts from the projected state (fresh unknowns for
     /// the `X` bits) in a fresh manager — the same over-approximation the
     /// hybrid fault simulator uses, so a *faulty* verdict remains sound.
-    /// Nothing is collected while the symbolic part is built (see
-    /// [`SymbolicTrueSim`]), so the limit bounds every node allocated since
-    /// the restart, dead ones included, not only the live functions.
+    /// Under a limit nothing is collected while the symbolic part is built
+    /// (see [`SymbolicTrueSim`]), so the limit bounds every node allocated
+    /// since the restart, dead ones included, not only the live functions.
     ///
     /// Each symbolic frame is split once, here: outputs whose function is
     /// a constant become known values, and only the others are kept as
@@ -203,7 +203,9 @@ impl SymbolicOutputSequence {
     /// garbage-collected (the sequence's own frames stay live) and the step
     /// retried; if this evaluation alone still does not fit, the rest of
     /// the call runs without the limit, which is restored before returning.
-    /// The verdict never depends on the limit.
+    /// Without a limit, the manager is collected before returning if it
+    /// holds more than 2^20 live nodes, so products left by earlier calls
+    /// cannot pile up. The verdict never depends on the limit.
     ///
     /// # Panics
     ///
@@ -212,6 +214,7 @@ impl SymbolicOutputSequence {
         let limit = self.mgr.node_limit();
         let verdict = self.evaluate_unrestored(response);
         self.mgr.set_node_limit(limit);
+        collect_if_unlimited(&self.mgr);
         verdict
     }
 
@@ -326,6 +329,7 @@ pub fn reference_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use motsim_bdd::VarId;
 
     #[test]
     fn fault_free_response_is_consistent() {
@@ -541,6 +545,50 @@ mod tests {
         }
         assert!(tight.mgr.stats().gc_runs > gc_before, "the limit was hit");
         assert_eq!(tight.mgr.node_limit(), Some(1_700));
+    }
+
+    /// Leaves more than 2^20 dead nodes in `mgr`: every cube over its last
+    /// 20 variables, each built on the cube of the variables below it, so
+    /// each conjunction allocates one node.
+    fn litter(mgr: &BddManager) {
+        fn cubes(mgr: &BddManager, below: &Bdd, vars: &[VarId]) {
+            if let Some((&v, above)) = vars.split_last() {
+                for literal in [mgr.var(v), mgr.nvar(v)] {
+                    cubes(mgr, &literal.and(below).unwrap(), above);
+                }
+            }
+        }
+        let n = mgr.num_vars();
+        let vars: Vec<VarId> = (n - 20..n).map(VarId::from_index).collect();
+        cubes(mgr, &mgr.one(), &vars);
+        assert!(mgr.live_nodes() > 1 << 20);
+    }
+
+    #[test]
+    fn evaluate_collects_an_unlimited_arena_past_the_threshold() {
+        let n = motsim_circuits::suite::by_name("g838").unwrap();
+        let seq = TestSequence::random(&n, 10, 4);
+        let sos = SymbolicOutputSequence::compute(&n, &seq, None);
+        let resp = reference_response(&n, &seq, &[false; 32]);
+        let verdict = sos.evaluate(&resp);
+        let gc_before = sos.mgr.stats().gc_runs;
+        litter(&sos.mgr);
+        assert_eq!(sos.evaluate(&resp), verdict);
+        assert_eq!(sos.mgr.stats().gc_runs, gc_before + 1);
+        assert!(sos.mgr.live_nodes() < 1 << 20);
+    }
+
+    #[test]
+    fn unlimited_true_sim_step_collects_past_the_threshold() {
+        let n = motsim_circuits::suite::by_name("g838").unwrap();
+        let seq = TestSequence::random(&n, 2, 4);
+        let mut sim = SymbolicTrueSim::new(&n);
+        sim.step(seq.vector(0)).unwrap();
+        litter(sim.manager());
+        let gc_before = sim.manager().stats().gc_runs;
+        sim.step(seq.vector(1)).unwrap();
+        assert_eq!(sim.manager().stats().gc_runs, gc_before + 1);
+        assert!(sim.manager().live_nodes() < 1 << 20);
     }
 
     #[test]

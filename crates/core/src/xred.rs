@@ -20,19 +20,24 @@
 //!    or `I_X(l) = {X, v}` (never excited with the opposite value), or
 //!    `OB(l) = 0`.
 //!
-//! Additionally [`XRedAnalysis::analyze_static`] runs the same machinery on
-//! a sequence-independent controllability fixpoint (the SCOAP-style
-//! analyses of \[6\]/\[15\] the paper cites): faults it flags cannot be
-//! detected by *any* sequence under three-valued SOT.
+//! Additionally [`XRedAnalysis::analyze_static`] runs steps 2–4 on a
+//! sequence-independent step 1: the SCOAP controllability of
+//! [`testability`](crate::testability) (the testability analyses of
+//! \[6\]/\[15\] the paper cites): a net's `I_X` holds `b` iff its `CC_b`
+//! is finite. No sequence sets a net to a value whose cost is infinite, so
+//! faults it flags cannot be detected by *any* sequence under three-valued
+//! SOT. Only the backward passes of steps 2 and 3 are
+//! loops of this module; the forward fixpoint is the frame kernel's.
 
 use std::collections::HashMap;
 
-use motsim_logic::{eval_gate_v4, V4};
+use motsim_logic::V4;
 use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
 
 use crate::faults::Fault;
 use crate::pattern::TestSequence;
 use crate::sim3::TrueSim;
+use crate::testability::{controllability, INFINITY};
 
 /// Dense lead indexing shared by the analysis passes.
 #[derive(Debug, Clone)]
@@ -139,45 +144,18 @@ impl XRedAnalysis {
         Self::from_net_ix(netlist, net_ix)
     }
 
-    /// Sequence-independent variant: step 1 is replaced by a forward
-    /// controllability fixpoint over [`V4`] (inputs can take both values,
-    /// flip-flops start at `{X}` and grow monotonically). Faults flagged by
+    /// Sequence-independent variant: step 1 reads the SCOAP
+    /// controllability of [`testability`](crate::testability) instead of a
+    /// simulation: a net holds `b` iff its `CC_b` is finite. No sequence
+    /// sets a net to a value whose cost is infinite, so faults flagged by
     /// this analysis are undetectable by *any* sequence under three-valued
     /// SOT.
     pub fn analyze_static(netlist: &Netlist) -> Self {
-        let mut net_ix = vec![V4::X; netlist.num_nets()];
-        for &pi in netlist.inputs() {
-            net_ix[pi.index()] = V4::X01;
-        }
-        // Monotone fixpoint: iterate frames until nothing grows.
-        let mut fanin_buf = Vec::new();
-        loop {
-            let mut changed = false;
-            for &g in netlist.eval_order() {
-                let net = netlist.net(g);
-                let NodeKind::Gate(kind) = net.kind() else {
-                    continue;
-                };
-                fanin_buf.clear();
-                fanin_buf.extend(net.fanin().iter().map(|f| net_ix[f.index()]));
-                let out = eval_gate_v4(kind, &fanin_buf).join(net_ix[g.index()]);
-                if out != net_ix[g.index()] {
-                    net_ix[g.index()] = out;
-                    changed = true;
-                }
-            }
-            for &q in netlist.dffs() {
-                let d = netlist.dff_d(q);
-                let out = net_ix[q.index()].join(net_ix[d.index()]);
-                if out != net_ix[q.index()] {
-                    net_ix[q.index()] = out;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let reach = |cost: u32, v: V4| if cost < INFINITY { v } else { V4::X };
+        let net_ix = controllability(netlist)
+            .into_iter()
+            .map(|cc| reach(cc.zero, V4::X0) | reach(cc.one, V4::X1))
+            .collect();
         Self::from_net_ix(netlist, net_ix)
     }
 

@@ -6,8 +6,8 @@ use motsim_netlist::GateKind;
 
 use crate::V3;
 
-/// A value domain for gate evaluation, implemented for [`V3`] and for `u64`
-/// (64 independent Boolean lanes).
+/// A value domain for gate evaluation, implemented here for [`V3`] and for
+/// `u64` (64 independent Boolean lanes).
 pub trait Logic: Copy + Not<Output = Self> {
     /// Conjunction.
     fn and(self, other: Self) -> Self;

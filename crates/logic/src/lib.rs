@@ -9,12 +9,15 @@
 //!   `{X} ⊑ {X,0},{X,1} ⊑ {X,0,1}` of the paper's `ID_X-red` procedure
 //!   (Section III): each lead records which binary values it ever assumed
 //!   during a three-valued true-value simulation of the whole test sequence.
+//!   `V4` has no gate evaluation: it is only the lattice the analysis
+//!   records into and reads from.
 //!
 //! Gate evaluation over [`V3`] is exposed both as binary operations on the
 //! values and as whole-gate evaluation keyed by
 //! [`GateKind`](motsim_netlist::GateKind), which the simulators use directly.
 //! The gate switch itself, [`fold_gate`], is generic over [`Logic`], so
-//! `V3` and `u64` Boolean lanes share one definition of every gate.
+//! `V3`, `u64` Boolean lanes and the core crate's SCOAP controllability
+//! costs share one definition of every gate.
 //!
 //! # Example
 //!
@@ -34,4 +37,4 @@ mod v4;
 
 pub use gate::{fold_gate, Logic};
 pub use v3::{eval_gate, V3};
-pub use v4::{eval_gate_v4, V4};
+pub use v4::V4;

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
-use motsim_netlist::GateKind;
-
 use crate::V3;
 
 /// An element of the four-valued lattice `{X} ⊑ {X,0}, {X,1} ⊑ {X,0,1}`.
@@ -14,10 +12,9 @@ use crate::V3;
 /// sequence (the value `X` is implicitly a member of every element, hence
 /// the paper's notation `{X}`, `{X,0}`, `{X,1}`, `{X,0,1}`).
 ///
-/// The same domain doubles as a *controllability* abstraction: interpreted
-/// as "the set of binary values a lead can possibly assume",
-/// [`eval_gate_v4`] is the exact forward transfer function, which the static
-/// variant of the X-redundancy analysis uses.
+/// The static variant of `ID_X-red` fills the same lattice from SCOAP
+/// controllability instead: a lead holds `b` iff it can be set to `b` at
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct V4(u8);
 
@@ -74,12 +71,6 @@ impl V4 {
     pub fn le(self, other: V4) -> bool {
         self.0 & !other.0 == 0
     }
-
-    /// The element with 0 and 1 swapped (abstract negation).
-    #[inline]
-    pub fn complement_values(self) -> V4 {
-        V4(((self.0 & 0b01) << 1) | ((self.0 & 0b10) >> 1))
-    }
 }
 
 impl BitOr for V4 {
@@ -107,70 +98,9 @@ impl fmt::Display for V4 {
     }
 }
 
-/// Exact forward transfer function of a gate over the controllability
-/// reading of [`V4`]: the output set contains `b` iff some assignment of
-/// input values drawn from the input sets (with `X` always available)
-/// produces `b`.
-///
-/// For AND/OR families this reduces to the classical controllability rules
-/// (an AND can be 0 iff some input can be 0; 1 iff all inputs can be 1).
-/// For the XOR family a parity reachability argument is used; any `{X}`
-/// input forces the output to `{X}` since `X` poisons parity.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty, or has length ≠ 1 for the unary kinds.
-pub fn eval_gate_v4(kind: GateKind, inputs: &[V4]) -> V4 {
-    assert!(!inputs.is_empty(), "gate must have at least one input");
-    let and_like = |inv: &[V4]| -> V4 {
-        let can0 = inv.iter().any(|v| v.has_zero());
-        let can1 = inv.iter().all(|v| v.has_one());
-        pack(can0, can1)
-    };
-    let or_like = |inv: &[V4]| -> V4 {
-        let can1 = inv.iter().any(|v| v.has_one());
-        let can0 = inv.iter().all(|v| v.has_zero());
-        pack(can0, can1)
-    };
-    let xor_like = |inv: &[V4]| -> V4 {
-        if inv.iter().any(|v| v.is_x_only()) {
-            return V4::X;
-        }
-        // Parity reachability DP: which parities are achievable so far.
-        let (mut even, mut odd) = (true, false);
-        for v in inv {
-            let (e, o) = (even, odd);
-            even = (e && v.has_zero()) || (o && v.has_one());
-            odd = (o && v.has_zero()) || (e && v.has_one());
-        }
-        pack(even, odd)
-    };
-    match kind {
-        GateKind::And => and_like(inputs),
-        GateKind::Nand => and_like(inputs).complement_values(),
-        GateKind::Or => or_like(inputs),
-        GateKind::Nor => or_like(inputs).complement_values(),
-        GateKind::Xor => xor_like(inputs),
-        GateKind::Xnor => xor_like(inputs).complement_values(),
-        GateKind::Not => {
-            assert_eq!(inputs.len(), 1, "NOT is unary");
-            inputs[0].complement_values()
-        }
-        GateKind::Buf => {
-            assert_eq!(inputs.len(), 1, "BUFF is unary");
-            inputs[0]
-        }
-    }
-}
-
-fn pack(can0: bool, can1: bool) -> V4 {
-    V4((can0 as u8) | ((can1 as u8) << 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval_gate;
 
     #[test]
     fn observe_accumulates() {
@@ -206,95 +136,8 @@ mod tests {
     }
 
     #[test]
-    fn complement_swaps() {
-        assert_eq!(V4::X0.complement_values(), V4::X1);
-        assert_eq!(V4::X1.complement_values(), V4::X0);
-        assert_eq!(V4::X.complement_values(), V4::X);
-        assert_eq!(V4::X01.complement_values(), V4::X01);
-    }
-
-    #[test]
     fn display() {
         assert_eq!(V4::X.to_string(), "{X}");
         assert_eq!(V4::X01.to_string(), "{X,0,1}");
-    }
-
-    /// Every V4 element corresponds to a set of V3 values; the transfer
-    /// function must be exactly the image of the concrete gate evaluation.
-    fn concretize(v: V4) -> Vec<V3> {
-        let mut out = vec![V3::X];
-        if v.has_zero() {
-            out.push(V3::Zero);
-        }
-        if v.has_one() {
-            out.push(V3::One);
-        }
-        out
-    }
-
-    fn exact_transfer(kind: GateKind, ins: &[V4]) -> V4 {
-        // Enumerate all concrete input combinations and collect outputs.
-        fn rec(kind: GateKind, ins: &[V4], acc: &mut Vec<V3>, out: &mut V4) {
-            if acc.len() == ins.len() {
-                *out = out.observe(eval_gate(kind, acc));
-                return;
-            }
-            for v in concretize(ins[acc.len()]) {
-                acc.push(v);
-                rec(kind, ins, acc, out);
-                acc.pop();
-            }
-        }
-        let mut out = V4::X;
-        rec(kind, ins, &mut Vec::new(), &mut out);
-        out
-    }
-
-    #[test]
-    fn transfer_function_is_exact_binary() {
-        for kind in GateKind::ALL {
-            if kind.is_unary() {
-                for a in V4::ALL {
-                    assert_eq!(
-                        eval_gate_v4(kind, &[a]),
-                        exact_transfer(kind, &[a]),
-                        "{kind} {a}"
-                    );
-                }
-            } else {
-                for a in V4::ALL {
-                    for b in V4::ALL {
-                        assert_eq!(
-                            eval_gate_v4(kind, &[a, b]),
-                            exact_transfer(kind, &[a, b]),
-                            "{kind} {a} {b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transfer_function_is_exact_ternary() {
-        for kind in [GateKind::And, GateKind::Nor, GateKind::Xor, GateKind::Xnor] {
-            for a in V4::ALL {
-                for b in V4::ALL {
-                    for c in V4::ALL {
-                        assert_eq!(
-                            eval_gate_v4(kind, &[a, b, c]),
-                            exact_transfer(kind, &[a, b, c]),
-                            "{kind} {a} {b} {c}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn xor_with_x_only_input_is_x() {
-        assert_eq!(eval_gate_v4(GateKind::Xor, &[V4::X, V4::X01]), V4::X);
-        assert_eq!(eval_gate_v4(GateKind::Xnor, &[V4::X01, V4::X]), V4::X);
     }
 }
