@@ -1,15 +1,82 @@
 //! Property tests of the logic crate: algebraic laws of `V3` and its
-//! gate evaluation.
+//! gate evaluation, and the soundness of the `V4` gate transfer that static
+//! `ID_X-red` reads from SCOAP controllability.
 //! Driven by the `motsim-check` harness, so they run in the default
 //! offline `cargo test`.
 
+use motsim::xred::XRedAnalysis;
 use motsim_check::{forall, Config, NoShrink};
-use motsim_logic::{eval_gate, V3};
-use motsim_netlist::GateKind;
+use motsim_logic::{eval_gate, V3, V4};
+use motsim_netlist::builder::NetlistBuilder;
+use motsim_netlist::{GateKind, Lead, NetId};
 use motsim_rng::SmallRng;
 
 fn gen_v3(rng: &mut SmallRng) -> V3 {
     [V3::Zero, V3::One, V3::X][rng.gen_range(0..3)]
+}
+
+fn gen_v4(rng: &mut SmallRng) -> V4 {
+    V4::ALL[rng.gen_range(0..4)]
+}
+
+/// A concrete value that is a member of `v4` (so soundness cases are built
+/// by construction instead of generate-and-discard).
+fn gen_member_of(rng: &mut SmallRng, v4: V4) -> V3 {
+    let mut pool = vec![V3::X];
+    if v4.has_zero() {
+        pool.push(V3::Zero);
+    }
+    if v4.has_one() {
+        pool.push(V3::One);
+    }
+    pool[rng.gen_range(0..pool.len())]
+}
+
+/// v3 ∈ γ(v4): the concrete value is a member of the abstract set.
+fn member(v3: V3, v4: V4) -> bool {
+    match v3 {
+        V3::X => true,
+        V3::Zero => v4.has_zero(),
+        V3::One => v4.has_one(),
+    }
+}
+
+/// A net that can be set to exactly the binary values of `v4`: a primary
+/// input for `{X,0,1}`, otherwise a flip-flop (initially `X`) whose next
+/// state is `AND(Q, A)` (never 1), `OR(Q, A)` (never 0) or `Q` itself.
+fn source(b: &mut NetlistBuilder, name: &str, v4: V4) -> NetId {
+    if v4 == V4::X01 {
+        return b.add_input(name).unwrap();
+    }
+    let q = b.add_dff(name).unwrap();
+    let d = if v4 == V4::X {
+        b.add_gate(&format!("{name}_d"), GateKind::Buf, vec![q])
+    } else {
+        let a = b.add_input(&format!("{name}_a")).unwrap();
+        let kind = if v4 == V4::X0 {
+            GateKind::And
+        } else {
+            GateKind::Or
+        };
+        b.add_gate(&format!("{name}_d"), kind, vec![q, a])
+    };
+    b.connect_dff(q, d.unwrap()).unwrap();
+    q
+}
+
+/// The `V4` value static `ID_X-red` gives a `kind` gate whose pins are
+/// driven by sources of the values `pins`.
+fn static_transfer(kind: GateKind, pins: &[V4]) -> V4 {
+    let mut b = NetlistBuilder::new("transfer");
+    let fanin = pins
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| source(&mut b, &format!("P{i}"), v))
+        .collect();
+    let z = b.add_gate("Z", kind, fanin).unwrap();
+    b.add_output(z);
+    let n = b.finish().unwrap();
+    XRedAnalysis::analyze_static(&n).ix(Lead::stem(z))
 }
 
 fn gen_kind(rng: &mut SmallRng) -> GateKind {
@@ -139,4 +206,44 @@ fn inverting_kinds_are_negations() {
             )
         },
     );
+}
+
+/// Soundness of the `V4` gate transfer of static `ID_X-red` (the finiteness
+/// of SCOAP controllability): whenever concrete inputs are members of the
+/// abstract inputs, the concrete output is a member of the abstract output.
+/// (Members are generated by construction.)
+#[test]
+fn v4_transfer_is_sound() {
+    check(
+        "v4-transfer-is-sound",
+        |rng| {
+            let kind = gen_kind(rng);
+            let pairs: Vec<(V3, V4)> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    let a = gen_v4(rng);
+                    (gen_member_of(rng, a), a)
+                })
+                .collect();
+            (kind, pairs)
+        },
+        |(kind, pairs)| {
+            assert!(pairs.iter().all(|&(c, a)| member(c, a)));
+            let concrete: Vec<V3> = pairs.iter().map(|&(c, _)| c).collect();
+            let abst: Vec<V4> = pairs.iter().map(|&(_, a)| a).collect();
+            let out_c = eval_gate(*kind, &concrete);
+            let out_a = static_transfer(*kind, &abst);
+            ensure(member(out_c, out_a), || {
+                format!("{kind}: {out_c} not in {out_a}")
+            })
+        },
+    );
+}
+
+/// The sources of [`static_transfer`] hold what they claim: a `BUF` of
+/// each one reads back its own value.
+#[test]
+fn v4_transfer_sources_hold_their_values() {
+    for v in V4::ALL {
+        assert_eq!(static_transfer(GateKind::Buf, &[v]), v, "{v}");
+    }
 }

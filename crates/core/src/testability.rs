@@ -390,6 +390,37 @@ mod tests {
         }
     }
 
+    /// The excitation half of SCOAP untestability implies static
+    /// `ID_X-red`: a fault whose site SCOAP cannot set to the value opposite
+    /// to the stuck one is flagged, since both read the one controllability
+    /// pass. (The observation half does not: static `ID_X-red` keeps many
+    /// faults SCOAP finds unobservable.) g838 is where a sum saturating at
+    /// `INFINITY` once left such faults unflagged.
+    #[test]
+    fn scoap_untestable_implies_xred_static() {
+        let n = motsim_circuits::suite::by_name("g838").unwrap();
+        let t = Testability::analyze(&n);
+        let xred = crate::xred::XRedAnalysis::analyze_static(&n);
+        let mut unexcitable = 0;
+        for f in crate::faults::FaultList::complete(&n).iter() {
+            let excite = if f.stuck {
+                t.cc0(f.lead.net)
+            } else {
+                t.cc1(f.lead.net)
+            };
+            if excite >= INFINITY {
+                assert!(t.is_untestable(*f), "{}", f.display(&n));
+                assert!(
+                    xred.is_undetectable(*f),
+                    "SCOAP cannot excite it but static X-red keeps it: {}",
+                    f.display(&n)
+                );
+                unexcitable += 1;
+            }
+        }
+        assert!(unexcitable > 0, "g838 has SCOAP-unexcitable faults");
+    }
+
     #[test]
     fn textbook_and_gate() {
         // Z = AND(A, B), PO Z. CC1(Z) = CC1(A)+CC1(B)+1 = 3;

@@ -101,6 +101,8 @@ impl fmt::Display for V4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{eval_gate, fold_gate, Logic};
+    use motsim_netlist::GateKind;
 
     #[test]
     fn observe_accumulates() {
@@ -139,5 +141,126 @@ mod tests {
     fn display() {
         assert_eq!(V4::X.to_string(), "{X}");
         assert_eq!(V4::X01.to_string(), "{X,0,1}");
+    }
+
+    /// The controllability reading of [`V4`] (the binary values a lead can
+    /// be set to at all) as a [`Logic`]: the finite/infinite projection of
+    /// SCOAP's `(CC0, CC1)` rules, which is what static `ID_X-red` reads.
+    /// Its gates come from [`fold_gate`], as the SCOAP pair's do.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Reach(V4);
+
+    fn pack(can0: bool, can1: bool) -> Reach {
+        Reach(V4((can0 as u8) | ((can1 as u8) << 1)))
+    }
+
+    impl std::ops::Not for Reach {
+        type Output = Reach;
+
+        fn not(self) -> Reach {
+            pack(self.0.has_one(), self.0.has_zero())
+        }
+    }
+
+    impl Logic for Reach {
+        fn and(self, other: Reach) -> Reach {
+            let (a, b) = (self.0, other.0);
+            pack(a.has_zero() || b.has_zero(), a.has_one() && b.has_one())
+        }
+
+        fn or(self, other: Reach) -> Reach {
+            !(!self).and(!other)
+        }
+
+        fn xor(self, other: Reach) -> Reach {
+            let (a, b) = (self.0, other.0);
+            pack(
+                (a.has_zero() && b.has_zero()) || (a.has_one() && b.has_one()),
+                (a.has_zero() && b.has_one()) || (a.has_one() && b.has_zero()),
+            )
+        }
+    }
+
+    fn transfer(kind: GateKind, ins: &[V4]) -> V4 {
+        fold_gate(kind, ins.iter().map(|&v| Reach(v))).0
+    }
+
+    /// Every V4 element corresponds to a set of V3 values; the transfer
+    /// function must be exactly the image of the concrete gate evaluation.
+    fn concretize(v: V4) -> Vec<V3> {
+        let mut out = vec![V3::X];
+        if v.has_zero() {
+            out.push(V3::Zero);
+        }
+        if v.has_one() {
+            out.push(V3::One);
+        }
+        out
+    }
+
+    fn exact_transfer(kind: GateKind, ins: &[V4]) -> V4 {
+        // Enumerate all concrete input combinations and collect outputs.
+        fn rec(kind: GateKind, ins: &[V4], acc: &mut Vec<V3>, out: &mut V4) {
+            if acc.len() == ins.len() {
+                *out = out.observe(eval_gate(kind, acc));
+                return;
+            }
+            for v in concretize(ins[acc.len()]) {
+                acc.push(v);
+                rec(kind, ins, acc, out);
+                acc.pop();
+            }
+        }
+        let mut out = V4::X;
+        rec(kind, ins, &mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn transfer_function_is_exact_binary() {
+        for kind in GateKind::ALL {
+            if kind.is_unary() {
+                for a in V4::ALL {
+                    assert_eq!(
+                        transfer(kind, &[a]),
+                        exact_transfer(kind, &[a]),
+                        "{kind} {a}"
+                    );
+                }
+            } else {
+                for a in V4::ALL {
+                    for b in V4::ALL {
+                        assert_eq!(
+                            transfer(kind, &[a, b]),
+                            exact_transfer(kind, &[a, b]),
+                            "{kind} {a} {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_function_is_exact_ternary() {
+        for kind in GateKind::ALL.into_iter().filter(|k| !k.is_unary()) {
+            for a in V4::ALL {
+                for b in V4::ALL {
+                    for c in V4::ALL {
+                        assert_eq!(
+                            transfer(kind, &[a, b, c]),
+                            exact_transfer(kind, &[a, b, c]),
+                            "{kind} {a} {b} {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn xor_with_x_only_input_is_x() {
+        assert_eq!(transfer(GateKind::Xor, &[V4::X, V4::X01]), V4::X);
+        assert_eq!(transfer(GateKind::Xnor, &[V4::X01, V4::X]), V4::X);
     }
 }
