@@ -204,7 +204,7 @@ echo "==> smoke: test evaluation (g5378 and g953 testeval, Table IV)"
 # The default g5378 and g953 sequences pin their symbolic output sequences'
 # size and prefix, the fault-free response's witness count, and where a
 # one-bit corruption collapses the product; g953's sequence starts with a
-# four-frame three-valued prefix. Table IV asserts that every fault-free
+# five-frame three-valued prefix. Table IV asserts that every fault-free
 # response is accepted; with the evaluation time column stripped, every row
 # (BDD size, asterisk, prefix) is pinned.
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g5378 >"$TRACE_DIR/testeval.txt"
@@ -212,8 +212,8 @@ grep -q "shared BDD size 261, prefix 1" "$TRACE_DIR/testeval.txt"
 grep -qF "(≥ 2^128 witness state(s))" "$TRACE_DIR/testeval.txt"
 grep -q "corrupted response rejected (product collapsed at frame 0, output 2)" "$TRACE_DIR/testeval.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g953 >"$TRACE_DIR/testeval_g953.txt"
-grep -q "shared BDD size 33, prefix 4" "$TRACE_DIR/testeval_g953.txt"
-grep -qF "(1048576 witness state(s))" "$TRACE_DIR/testeval_g953.txt"
+grep -q "shared BDD size 20, prefix 5" "$TRACE_DIR/testeval_g953.txt"
+grep -qF "(6291456 witness state(s))" "$TRACE_DIR/testeval_g953.txt"
 grep -q "corrupted response rejected (product collapsed at frame 0, output 10)" "$TRACE_DIR/testeval_g953.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick |
   sed -E 's/ +[0-9.]+$//' >"$TRACE_DIR/table4.txt"
@@ -224,9 +224,20 @@ Table IV: symbolic test evaluation (30,000-node limit)
      g208    1    50        15       0
      g420    1    50        31       0
      g510    7    50         7       0
-     g953   23    50       *33       4
+     g953   23    50       *20       5
      g838    1    50        63       0
 PINNED
+
+echo "==> smoke: synchronizing-sequence search (synch g526)"
+# The greedy symbolic search scores 16 lookahead frames per committed one
+# and leaves them behind as garbage, which the unlimited manager collects
+# past 2^20 live nodes. The sequence's checksum and, with the time stripped,
+# the verdict line are pinned.
+cargo run --release -q -p motsim-cli --bin motsim -- synch g526 \
+  >"$TRACE_DIR/synch_g526.txt" 2>"$TRACE_DIR/synch_g526.err"
+test "$(cksum <"$TRACE_DIR/synch_g526.txt")" = "1323479339 104"
+test "$(sed -E 's/ in [0-9.]+[a-zµ]*s / /' "$TRACE_DIR/synch_g526.err")" = \
+  "synchronizing sequence of length 26 found (three-valued logic provably cannot find it)"
 
 echo "==> smoke: controllability (static ID_X-red and SCOAP on g838, g5378)"
 # Both analyses read one controllability pass. With the time stripped, the

@@ -256,3 +256,58 @@ fn leads_are_exact() {
         Ok(())
     });
 }
+
+/// Applies `edits` seeded random character inserts, deletes and
+/// replacements to `text`, drawing new characters from the `.bench`
+/// syntax, a few letters and digits, and one non-ASCII letter.
+fn mutate(text: &str, edits: usize, rng: &mut SmallRng) -> String {
+    const ALPHABET: &[char] = &[
+        '(', ')', '=', ',', '#', '\n', '\r', ' ', '\t', 'A', 'D', 'F', 'N', 'O', 'T', 'a', 'q',
+        '0', '1', '_', 'é',
+    ];
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..edits {
+        let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+        let at = rng.gen_range(0..chars.len() + 1);
+        match rng.gen_range(0..3) {
+            0 => chars.insert(at, c),
+            _ if at == chars.len() => {}
+            1 => {
+                chars.remove(at);
+            }
+            _ => chars[at] = c,
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// The parser never panics on malformed input: seeded random edits of
+/// written recipe netlists either parse or return an error, and whatever
+/// parses is a write → parse → write fixpoint.
+#[test]
+fn mutated_bench_text_never_panics() {
+    let mut rng = SmallRng::seed_from_u64(0xBE0C);
+    let (mut parsed, mut rejected) = (0, 0);
+    for case in 0..400 {
+        let text = to_bench(&build(&gen_recipe(&mut rng)));
+        for _ in 0..4 {
+            let edits = rng.gen_range(1..6);
+            let mutated = mutate(&text, edits, &mut rng);
+            let result = std::panic::catch_unwind(|| parse_bench("mutated", &mutated))
+                .unwrap_or_else(|_| panic!("case {case}: the parser panicked on\n{mutated}"));
+            let Ok(n) = result else {
+                rejected += 1;
+                continue;
+            };
+            parsed += 1;
+            let written = to_bench(&n);
+            let again = parse_bench("mutated", &written)
+                .unwrap_or_else(|e| panic!("case {case}: {e} on rereading\n{written}"));
+            assert_eq!(to_bench(&again), written, "case {case}: not a fixpoint");
+        }
+    }
+    assert!(
+        parsed > 0 && rejected > 0,
+        "{parsed} parsed, {rejected} rejected"
+    );
+}

@@ -78,8 +78,10 @@ commands:
   sim3        three-valued fault simulation (with ID_X-red pre-pass)
   strategies  compare SOT / rMOT / MOT coverage (hybrid, node-limited)
   xred        X-redundancy analysis (add --static for any-sequence mode)
-  tgen        generate a compact fault-oriented test sequence
-  synch       search for a synchronizing sequence (symbolic)
+  tgen        generate a compact fault-oriented test sequence of at most
+              --max-len vectors (default 400)
+  synch       search for a synchronizing sequence (symbolic); gives up after
+              --max-len frames, at most 256
   testeval    symbolic test evaluation demo (accept good / reject bad)
   dot         Graphviz dump of a symbolic output function
   scoap       SCOAP testability measures (CC0/CC1/CO per net)

@@ -16,14 +16,14 @@
 //! `(x, y)` BDDs are bigger — falls back more often than rMOT and ends up
 //! *less* accurate.
 //!
-//! A frame falls back iff it does not fit the limit after a full GC.
-//! [`SymbolicFaultSim::step`] settles that with one attempt from a collected
-//! arena, never two: it collects first when the previous frame predicts
-//! pressure, and otherwise tries the uncollected arena first. So a frame
-//! that cannot fit costs at most one aborted uncollected attempt, one GC
-//! and one collected attempt before the fallback begins. The sifting retry
-//! of [`ReorderPolicy::Sift`] starts from the collected arena the pass
-//! leaves behind.
+//! A frame falls back iff it does not fit the limit after a full GC: the
+//! limit bounds live nodes after a collection. [`SymbolicFaultSim::step`]
+//! attempts each frame by the one collection rule of
+//! [`SymbolicTrueSim`](crate::symbolic::SymbolicTrueSim), so a frame that
+//! cannot fit costs at most one aborted uncollected attempt, one GC and one
+//! collected attempt before the fallback begins. The sifting retry of
+//! [`ReorderPolicy::Sift`] starts from the collected arena the pass leaves
+//! behind.
 //!
 //! The driver is crate-private: [`HybridEngine`](crate::engine_api::HybridEngine)
 //! is the one way to run it, configured through

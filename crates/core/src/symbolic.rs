@@ -72,11 +72,19 @@ impl std::fmt::Display for Strategy {
 /// [synchronization analysis](crate::synch), and as the fault-free machine
 /// of [`SymbolicFaultSim`].
 ///
-/// Under a node limit the simulator never garbage-collects its manager:
-/// standing alone, every node a frame allocates stays in the arena, so the
-/// arena grows with each frame and the limit counts dead nodes too. Without
-/// a limit, [`step`](Self::step) collects once the arena passes 2^20 live
-/// nodes, the rule [`SymbolicFaultSim::step`] applies.
+/// Every symbolic frame, its own and [`SymbolicFaultSim`]'s, is attempted
+/// and collected by one rule, owned here (DESIGN §9). Under a node limit,
+/// a frame's outcome is that of one attempt from a collected arena, so the
+/// limit bounds live nodes after a collection. The frame runs once if the
+/// arena holds no garbage ([`BddManager::has_garbage`]), and once after a
+/// collection if the previous frame allocated at least `limit / 8` nodes;
+/// otherwise it runs on the uncollected arena, where any limit hit aborts
+/// it, and again after a collection if that attempt fails. This predictor
+/// (measured in EXPERIMENTS, "Node-limit pressure") decides speed, never
+/// results: garbage only adds live nodes, and an operation allocates only
+/// nodes of its result, whatever the ITE cache holds. Without a limit, a
+/// frame runs once and the manager is collected when the frame ends if it
+/// holds more than 2^20 live nodes.
 #[derive(Debug)]
 pub struct SymbolicTrueSim<'a> {
     netlist: &'a Netlist,
@@ -85,6 +93,9 @@ pub struct SymbolicTrueSim<'a> {
     state: Vec<Bdd>,
     values: Vec<Bdd>,
     frame: usize,
+    /// Nodes the manager allocated during the previous frame's attempts:
+    /// the collect-first predictor's input.
+    last_frame_created: usize,
 }
 
 impl<'a> SymbolicTrueSim<'a> {
@@ -94,8 +105,9 @@ impl<'a> SymbolicTrueSim<'a> {
         Self::with_manager(netlist, BddManager::new())
     }
 
-    /// Creates a simulator allocating its `x` variables in `mgr` (which may
-    /// carry a node limit).
+    /// Creates a simulator allocating its `x` variables in `mgr`. A node
+    /// limit of `mgr` bounds its live nodes after a collection (see
+    /// [`SymbolicTrueSim`]).
     pub fn with_manager(netlist: &'a Netlist, mgr: BddManager) -> Self {
         let xvars = (0..netlist.num_dffs())
             .map(|_| mgr.new_var().top_var().expect("fresh literal"))
@@ -115,6 +127,7 @@ impl<'a> SymbolicTrueSim<'a> {
             state,
             values,
             frame: 0,
+            last_frame_created: 0,
         }
     }
 
@@ -154,18 +167,63 @@ impl<'a> SymbolicTrueSim<'a> {
             .collect()
     }
 
-    /// Applies one input vector. Without a node limit, the manager is then
-    /// collected if it holds more than 2^20 live nodes.
+    /// Applies one input vector, attempting and collecting the frame as
+    /// described at [`SymbolicTrueSim`].
     ///
     /// # Errors
     ///
-    /// Fails with [`BddError::NodeLimit`] if the manager's node limit is
-    /// hit; the simulator state is unchanged in that case.
+    /// Fails with [`BddError::NodeLimit`] if the frame does not fit the
+    /// manager's node limit after a full GC; the simulator state is
+    /// unchanged in that case.
     pub fn step(&mut self, inputs: &[bool]) -> Result<(), BddError> {
-        let values = self.eval(inputs)?;
+        let values = self.attempt_frame(false, |sim, _| sim.eval(inputs))?;
         self.commit(values);
-        collect_if_unlimited(&self.mgr);
         Ok(())
+    }
+
+    /// Runs `frame`, which stages the next frame from the present state, as
+    /// the [`Attempt`]s the rule of [`SymbolicTrueSim`] calls for; the
+    /// caller [`commit`](Self::commit)s what it returns. A frame without
+    /// detection-term sites (`terms`), where the two attempts differ, is
+    /// not rerun if the collection after its failed uncollected attempt
+    /// frees only that attempt's nodes: the rerun would fail the same way.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`BddError::NodeLimit`] if the collected attempt does.
+    pub(crate) fn attempt_frame<T>(
+        &mut self,
+        terms: bool,
+        mut frame: impl FnMut(&Self, Attempt) -> Result<T, BddError>,
+    ) -> Result<T, BddError> {
+        let created = self.mgr.stats().nodes_created;
+        let result = match self.mgr.node_limit().filter(|_| self.mgr.has_garbage()) {
+            None => frame(self, Attempt::Collected),
+            Some(limit) if self.collect_first(limit) => {
+                self.mgr.gc();
+                frame(self, Attempt::Collected)
+            }
+            Some(_) => frame(self, Attempt::Uncollected).or_else(|hit| {
+                let attempted = self.mgr.stats().nodes_created - created;
+                let freed = self.mgr.gc() as u64;
+                if !terms && freed == attempted {
+                    return Err(hit);
+                }
+                frame(self, Attempt::Collected)
+            }),
+        };
+        self.last_frame_created = (self.mgr.stats().nodes_created - created) as usize;
+        result
+    }
+
+    /// Whether the previous frame predicts that this one needs the space a
+    /// collection frees (see [`SymbolicTrueSim`]).
+    fn collect_first(&self, limit: usize) -> bool {
+        #[cfg(test)]
+        if let Some(forced) = FORCE_COLLECT_FIRST.with(std::cell::Cell::get) {
+            return forced;
+        }
+        self.last_frame_created >= limit / 8
     }
 
     /// Evaluates the next frame from the present state without advancing:
@@ -179,11 +237,14 @@ impl<'a> SymbolicTrueSim<'a> {
     }
 
     /// Advances by one frame whose per-net values [`eval`](Self::eval)
-    /// returned.
+    /// returned. Every frame ends here, so without a node limit this is
+    /// where the manager is collected once it holds more than 2^20 live
+    /// nodes.
     pub(crate) fn commit(&mut self, values: Vec<Bdd>) {
         frame::next_state(self.netlist, &values, None, &mut self.state);
         self.values = values;
         self.frame += 1;
+        collect_if_unlimited(&self.mgr);
     }
 
     /// Per-net values of the most recent frame.
@@ -291,15 +352,12 @@ pub struct SymbolicFaultSim<'a> {
     sparse: Sparse<'a, Bdd>,
     degraded_terms: usize,
     last_frame_events: usize,
-    /// Nodes the manager allocated during the previous [`step`](Self::step)
-    /// call: the collect-first predictor's input.
-    last_frame_created: usize,
 }
 
 /// Live nodes past which a manager *without* a node limit is collected at
-/// the end of a frame or a test evaluation. Under a limit,
-/// [`SymbolicFaultSim::step`] collects before a frame instead, and only when
-/// the frame needs it, and nothing else collects.
+/// the end of a frame ([`SymbolicTrueSim::commit`]) or a test evaluation.
+/// Under a limit, a frame collects before it runs instead, and only when it
+/// needs the space ([`SymbolicTrueSim::attempt_frame`]).
 const UNLIMITED_GC_THRESHOLD: usize = 1 << 20;
 
 /// Collects `mgr` if it has no node limit and more than
@@ -312,7 +370,7 @@ pub(crate) fn collect_if_unlimited(mgr: &BddManager) {
 
 /// How a frame attempt reacts to the node limit at a detection-term site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Attempt {
+pub(crate) enum Attempt {
     /// The arena was collected when the attempt began. A term that hits the
     /// limit is retried after a GC and skipped if it still does not fit;
     /// the skip is counted in `degraded_terms`.
@@ -390,7 +448,6 @@ impl<'a> SymbolicFaultSim<'a> {
             sparse: Sparse::new(netlist),
             degraded_terms: 0,
             last_frame_events: 0,
-            last_frame_created: 0,
         }
     }
 
@@ -554,33 +611,13 @@ impl<'a> SymbolicFaultSim<'a> {
     /// each with its [`Detection`]. Its frame counts from this simulator's
     /// first step, as in [`FaultSim3::step`](crate::sim3::FaultSim3::step).
     ///
-    /// Under a node limit, the frame's outcome is that of one attempt that
-    /// starts from a collected arena; it falls back iff it does not fit
-    /// after a full GC. That attempt never runs twice:
-    ///
-    /// - If the arena holds no garbage ([`BddManager::has_garbage`]), the
-    ///   frame runs once.
-    /// - If the previous frame predicts pressure, the frame collects first
-    ///   and then runs once. It predicts pressure when it allocated at least
-    ///   `limit / 8` nodes. The divisor is measured (EXPERIMENTS, "Node-limit
-    ///   pressure"): collecting before every frame that holds garbage
-    ///   empties the ITE cache so often that small runs far below the limit
-    ///   take up to twice as long, and waiting for `limit / 4` lets more
-    ///   doomed attempts through.
-    /// - Otherwise the frame first runs on the uncollected arena, where any
-    ///   limit hit aborts it, detection terms included; only then does it
-    ///   collect and run again.
-    ///
-    /// The predictor decides speed, never results. An uncollected attempt
-    /// that fits does exactly what the collected attempt would: garbage
-    /// only adds live nodes, and an operation allocates only nodes of its
-    /// result, whatever the ITE cache holds.
-    ///
-    /// In the collected attempt a detection term that hits the limit is
-    /// retried after a GC and skipped if it still does not fit
-    /// ([`degraded_terms`](Self::degraded_terms)). Without a limit the
-    /// frame runs once and collects afterwards if the arena grew past
-    /// 2^20 live nodes.
+    /// Each frame is attempted and collected by the rule of
+    /// [`SymbolicTrueSim`]: under a node limit, its outcome is that of one
+    /// attempt from a collected arena. In an uncollected attempt any limit
+    /// hit aborts the attempt, detection terms included. In the collected
+    /// attempt a detection term that hits the limit is retried after a GC
+    /// and skipped if it still does not fit
+    /// ([`degraded_terms`](Self::degraded_terms)).
     ///
     /// On [`BddError::NodeLimit`] the frame is rolled back: the logical
     /// state (detection functions, machine states) is exactly as before the
@@ -591,38 +628,66 @@ impl<'a> SymbolicFaultSim<'a> {
     ///
     /// Fails with [`BddError::NodeLimit`] as described above.
     pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<(Fault, Detection)>, BddError> {
-        let Some(limit) = self.manager().node_limit() else {
-            let newly = self.step_attempt(inputs, Attempt::Collected)?;
-            collect_if_unlimited(self.manager());
-            return Ok(newly);
-        };
-        let created = self.manager().stats().nodes_created;
-        let result = if !self.manager().has_garbage() {
-            self.step_attempt(inputs, Attempt::Collected)
-        } else if self.collect_first(limit) {
-            self.manager().gc();
-            self.step_attempt(inputs, Attempt::Collected)
-        } else {
-            match self.step_attempt(inputs, Attempt::Uncollected) {
-                Err(BddError::NodeLimit { .. }) => {
-                    self.manager().gc();
-                    self.step_attempt(inputs, Attempt::Collected)
-                }
-                done => done,
-            }
-        };
-        self.last_frame_created = (self.manager().stats().nodes_created - created) as usize;
-        result
-    }
+        let (values, updates, skipped) = self.good.attempt_frame(true, |good, attempt| {
+            // 1. Fault-free frame.
+            let values = good.eval(inputs)?;
 
-    /// Whether the previous frame predicts that this one needs the space a
-    /// collection frees (see [`step`](Self::step)).
-    fn collect_first(&self, limit: usize) -> bool {
-        #[cfg(test)]
-        if let Some(forced) = FORCE_COLLECT_FIRST.with(std::cell::Cell::get) {
-            return forced;
+            // 2. Fault-independent MOT factors, built lazily.
+            let mut frame = FrameCtx {
+                netlist: good.netlist,
+                mgr: &good.mgr,
+                values: &values,
+                rename_map: &self.rename_map,
+                attempt,
+                e_terms: vec![None; good.netlist.num_outputs()],
+                e_all: None,
+            };
+
+            // 3. Per-fault propagation and observation into staged updates.
+            let mut updates: Vec<FaultUpdate> = Vec::new();
+            let mut skipped = 0usize;
+            for (i, rec) in self.records.iter().enumerate() {
+                if rec.detection.is_some() {
+                    continue;
+                }
+                let faulty = self.sparse.propagate(
+                    &values,
+                    rec.state.iter().cloned(),
+                    rec.fault,
+                    good.mgr.constant(rec.fault.stuck),
+                )?;
+                let (det, detection) =
+                    frame.observe(self.strategy, &faulty, &rec.det, good.frame, &mut skipped)?;
+                let mut state = Vec::new();
+                faulty.next_state_diffs(&mut state);
+                updates.push(FaultUpdate {
+                    index: i,
+                    det,
+                    state,
+                    detection,
+                    events: faulty.diverged_nets().len(),
+                });
+            }
+            Ok((values, updates, skipped))
+        })?;
+
+        // 4. Commit.
+        let mut newly = Vec::new();
+        let mut frame_events = 0usize;
+        for u in updates {
+            frame_events += u.events;
+            let rec = &mut self.records[u.index];
+            rec.det = u.det;
+            rec.state = u.state;
+            if let Some(d) = u.detection {
+                rec.detection = Some(d);
+                newly.push((rec.fault, d));
+            }
         }
-        self.last_frame_created >= limit / 8
+        self.last_frame_events = frame_events;
+        self.good.commit(values);
+        self.degraded_terms += skipped;
+        Ok(newly)
     }
 
     /// Like [`step`](Self::step), additionally reporting a successful frame
@@ -658,73 +723,6 @@ impl<'a> SymbolicFaultSim<'a> {
                 detected: newly.len(),
             });
         }
-        Ok(newly)
-    }
-
-    fn step_attempt(
-        &mut self,
-        inputs: &[bool],
-        attempt: Attempt,
-    ) -> Result<Vec<(Fault, Detection)>, BddError> {
-        // 1. Fault-free frame.
-        let good = &self.good;
-        let values = good.eval(inputs)?;
-
-        // 2. Fault-independent MOT factors, built lazily.
-        let mut frame = FrameCtx {
-            netlist: good.netlist,
-            mgr: &good.mgr,
-            values: &values,
-            rename_map: &self.rename_map,
-            attempt,
-            e_terms: vec![None; good.netlist.num_outputs()],
-            e_all: None,
-        };
-
-        // 3. Per-fault propagation and observation into staged updates.
-        let mut updates: Vec<FaultUpdate> = Vec::new();
-        let mut skipped = 0usize;
-        for (i, rec) in self.records.iter().enumerate() {
-            if rec.detection.is_some() {
-                continue;
-            }
-            let faulty = self.sparse.propagate(
-                &values,
-                rec.state.iter().cloned(),
-                rec.fault,
-                good.mgr.constant(rec.fault.stuck),
-            )?;
-            let (det, detection) =
-                frame.observe(self.strategy, &faulty, &rec.det, good.frame, &mut skipped)?;
-            let mut state = Vec::new();
-            faulty.next_state_diffs(&mut state);
-            updates.push(FaultUpdate {
-                index: i,
-                det,
-                state,
-                detection,
-                events: faulty.diverged_nets().len(),
-            });
-        }
-
-        // 4. Commit.
-        let mut newly = Vec::new();
-        let mut frame_events = 0usize;
-        for u in updates {
-            frame_events += u.events;
-            let rec = &mut self.records[u.index];
-            rec.det = u.det;
-            rec.state = u.state;
-            if rec.detection.is_none() {
-                if let Some(d) = u.detection {
-                    rec.detection = Some(d);
-                    newly.push((rec.fault, d));
-                }
-            }
-        }
-        self.last_frame_events = frame_events;
-        self.good.commit(values);
-        self.degraded_terms += skipped;
         Ok(newly)
     }
 
@@ -1266,6 +1264,58 @@ mod tests {
             frames_ok > 0 && limit_hits > 0,
             "{frames_ok} ok, {limit_hits} hit(s)"
         );
+    }
+
+    /// A stand-alone true-value simulator attempts its frames by the same
+    /// rule, so under a node limit the dead nodes of lookahead frames, as
+    /// the synchronizing-sequence search leaves them, never change whether
+    /// a frame fits.
+    #[test]
+    fn lookahead_garbage_never_changes_whether_a_true_frame_fits() {
+        let (mut frames_ok, mut limit_hits) = (0, 0);
+        for (name, limit) in [("g344", 300), ("g298", 800)] {
+            let n = motsim_circuits::suite::by_name(name).unwrap();
+            let seq = TestSequence::random(&n, 30, 0xDAC95);
+            let lookahead = TestSequence::random(&n, 3 * seq.len(), 7);
+            let limited = || {
+                let mgr = BddManager::new();
+                mgr.set_node_limit(Some(limit));
+                SymbolicTrueSim::with_manager(&n, mgr)
+            };
+            let (mut clean, mut dirty) = (limited(), limited());
+            for t in 0..seq.len() {
+                for k in 0..3 {
+                    let _ = dirty.eval(lookahead.vector(3 * t + k));
+                }
+                let expected = clean.step(seq.vector(t));
+                assert_eq!(dirty.step(seq.vector(t)), expected, "{name}, frame {t}");
+                frames_ok += usize::from(expected.is_ok());
+                limit_hits += usize::from(expected.is_err());
+            }
+        }
+        assert!(
+            frames_ok > 0 && limit_hits > 0,
+            "{frames_ok} ok, {limit_hits} hit(s)"
+        );
+    }
+
+    /// A frame without detection terms that fails on an arena holding no
+    /// dead nodes is not rerun after the collection, so a test
+    /// evaluation's doomed first frame costs what one bare evaluation does.
+    #[test]
+    fn doomed_first_true_frame_runs_once() {
+        let n = motsim_circuits::suite::by_name("g298").unwrap();
+        let seq = TestSequence::random(&n, 1, 0xDAC95);
+        let limited = || {
+            let mgr = BddManager::new();
+            mgr.set_node_limit(Some(100));
+            SymbolicTrueSim::with_manager(&n, mgr)
+        };
+        let (mut stepped, bare) = (limited(), limited());
+        assert!(bare.eval(seq.vector(0)).is_err());
+        assert!(stepped.step(seq.vector(0)).is_err());
+        let created = |sim: &SymbolicTrueSim| sim.manager().stats().nodes_created;
+        assert_eq!(created(&stepped), created(&bare));
     }
 
     /// Reseeding a fresh simulator from the three-valued projections gives

@@ -95,9 +95,9 @@ impl SymbolicOutputSequence {
     /// symbolic part restarts from the projected state (fresh unknowns for
     /// the `X` bits) in a fresh manager — the same over-approximation the
     /// hybrid fault simulator uses, so a *faulty* verdict remains sound.
-    /// Under a limit nothing is collected while the symbolic part is built
-    /// (see [`SymbolicTrueSim`]), so the limit bounds every node allocated
-    /// since the restart, dead ones included, not only the live functions.
+    /// Each frame is attempted as [`SymbolicTrueSim`] attempts one, so the
+    /// limit bounds the live nodes after a collection, not the dead ones
+    /// earlier frames leave behind.
     ///
     /// Each symbolic frame is split once, here: outputs whose function is
     /// a constant become known values, and only the others are kept as
@@ -587,6 +587,21 @@ mod tests {
         litter(sim.manager());
         let gc_before = sim.manager().stats().gc_runs;
         sim.step(seq.vector(1)).unwrap();
+        assert_eq!(sim.manager().stats().gc_runs, gc_before + 1);
+        assert!(sim.manager().live_nodes() < 1 << 20);
+    }
+
+    /// The synchronizing-sequence search advances by `eval` and `commit`
+    /// alone, and every frame ends in `commit`.
+    #[test]
+    fn unlimited_true_sim_commit_collects_past_the_threshold() {
+        let n = motsim_circuits::suite::by_name("g838").unwrap();
+        let seq = TestSequence::random(&n, 1, 4);
+        let mut sim = SymbolicTrueSim::new(&n);
+        litter(sim.manager());
+        let gc_before = sim.manager().stats().gc_runs;
+        let values = sim.eval(seq.vector(0)).unwrap();
+        sim.commit(values);
         assert_eq!(sim.manager().stats().gc_runs, gc_before + 1);
         assert!(sim.manager().live_nodes() < 1 << 20);
     }

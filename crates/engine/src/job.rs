@@ -126,9 +126,9 @@ pub struct JobResult {
 /// failing work unit.
 ///
 /// Reported for the *lowest-id* failing unit (all units still run), so the
-/// error is as deterministic as the success path. Use
-/// [`EngineKind::Hybrid`] to absorb symbolic node limits instead of
-/// failing.
+/// error is as deterministic as the success path. No [`EngineKind`] makes a
+/// unit fail today: symbolic units run without a node limit, and hybrid
+/// units absorb theirs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineError {
     /// The work unit whose shard failed, if the failure happened inside
@@ -164,8 +164,7 @@ impl From<SimError> for EngineError {
 ///
 /// # Errors
 ///
-/// Fails with [`EngineError`] if a [`EngineKind::Symbolic`] shard hits a
-/// node limit (the default symbolic configuration has none).
+/// Fails with [`EngineError`] as [`run_traced`] does.
 pub fn run(job: &Job) -> Result<JobResult, EngineError> {
     run_traced(job, &mut NullSink)
 }
@@ -193,10 +192,10 @@ pub fn run(job: &Job) -> Result<JobResult, EngineError> {
 ///
 /// Fails with [`EngineError`] if the engine configuration is invalid
 /// (checked once, before partitioning, with [`EngineError::unit`] `None`
-/// and no trace events), or if a shard's engine fails (a
-/// [`EngineKind::Symbolic`] node-limit hit). In the second case all units
-/// still run and their traces are still replayed; the lowest-id failure is
-/// reported.
+/// and no trace events), or if a shard's engine fails, which no
+/// [`EngineKind`] does today (see [`EngineError`]). In the second case all
+/// units still run and their traces are still replayed; the lowest-id
+/// failure is reported.
 pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, EngineError> {
     let start = Instant::now();
     unit_config(job.engine).validate(matches!(job.engine, EngineKind::Hybrid(..)))?;
@@ -463,25 +462,15 @@ mod tests {
         assert_eq!(a, b, "merged JSONL must not depend on the worker count");
     }
 
+    /// No [`EngineKind`] puts a node limit on a symbolic unit: a MOT job on
+    /// a 12-bit counter, which `SymbolicEngine` rejects at a 200-node
+    /// limit, succeeds with the same outcome for any worker count.
     #[test]
-    fn node_limit_error_is_deterministic() {
-        // A symbolic job with an impossible node limit must fail on the
-        // same unit every time.
-        let (n, faults, seq) = setup(6);
-        let job = Job::new(&n, &seq, &faults, EngineKind::Symbolic(Strategy::Mot));
-        let fail = |jobs: usize| {
-            let mut job = job.jobs(jobs);
-            job.units = Some(4);
-            // Hybrid absorbs limits, so provoke the error symbolically via
-            // a manager too small for even one frame.
-            match run(&job) {
-                Err(e) => e.unit,
-                Ok(_) => None,
-            }
-        };
-        // The default symbolic engine has no node limit, so this job
-        // simply succeeds — what matters is both paths agree.
-        assert_eq!(fail(1), fail(4));
+    fn symbolic_units_run_without_a_node_limit() {
+        let (n, faults, seq) = setup(12);
+        let job = Job::new(&n, &seq, &faults, EngineKind::Symbolic(Strategy::Mot)).units(4);
+        let outcome = |jobs: usize| run(&job.jobs(jobs)).expect("no node limit").outcome;
+        assert_eq!(outcome(1), outcome(4));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! that moves a node index, a cache probe or a GC point shows up here as a
 //! counter mismatch even when every verdict survives it.
 //!
-//! The hybrid pin runs under a node limit, where the symbolic engine
-//! collects *before* a frame that needs the space rather than after every
-//! frame past half the limit (DESIGN §9, "When the symbolic engine
-//! collects"); its GC count and the counters that follow from it record
-//! that rule. The test-evaluation pins never collect; the g953 one covers a
-//! sequence that starts with a three-valued prefix.
+//! Every symbolic frame under a node limit collects *before* it runs, and
+//! only when it needs the space (DESIGN §9, "When the symbolic engine
+//! collects"). The hybrid pin's GC count and the counters that follow from
+//! it record that rule. Test evaluation builds its frames under the same
+//! rule, but the managers its pins read never collect: g5378's frames stay
+//! far below the limit, and g953's sequence starts with a three-valued
+//! prefix whose end the rule decides, then runs in a fresh manager.
 
 use motsim::faults::FaultList;
 use motsim::hybrid::HybridConfig;
@@ -105,14 +106,14 @@ fn testeval_g5378_usage_is_pinned() {
 }
 
 /// `motsim testeval g953`: a prefixed sequence (Table IV's asterisk). Its
-/// first four frames run three-valued before the symbolic suffix fits the
+/// first five frames run three-valued before the symbolic suffix fits the
 /// limit.
 #[test]
 fn testeval_g953_prefixed_usage_is_pinned() {
     let n = motsim_circuits::suite::by_name("g953").unwrap();
     let seq = TestSequence::random(&n, 200, SEED);
     let sos = SymbolicOutputSequence::compute(&n, &seq, Some(30_000));
-    assert_eq!((sos.bdd_size(), sos.prefix_len()), (33, 4));
+    assert_eq!((sos.bdd_size(), sos.prefix_len()), (20, 5));
     let built = sos.bdd_usage();
     let good = reference_response(&n, &seq, &vec![false; n.num_dffs()]);
     assert!(matches!(
@@ -123,12 +124,12 @@ fn testeval_g953_prefixed_usage_is_pinned() {
     assert_eq!(
         built,
         BddUsage {
-            peak_live_nodes: 83,
+            peak_live_nodes: 56,
             gc_runs: 0,
-            cache_hits: 4,
-            cache_misses: 60,
-            unique_lookups: 126,
-            unique_probes: 132,
+            cache_hits: 1,
+            cache_misses: 28,
+            unique_lookups: 96,
+            unique_probes: 96,
             reorder_runs: 0,
             reorder_swaps: 0,
         }
@@ -136,12 +137,12 @@ fn testeval_g953_prefixed_usage_is_pinned() {
     assert_eq!(
         evaluated,
         BddUsage {
-            peak_live_nodes: 114,
+            peak_live_nodes: 83,
             gc_runs: 0,
-            cache_hits: 18,
-            cache_misses: 155,
-            unique_lookups: 206,
-            unique_probes: 214,
+            cache_hits: 12,
+            cache_misses: 100,
+            unique_lookups: 162,
+            unique_probes: 162,
             reorder_runs: 0,
             reorder_swaps: 0,
         }
