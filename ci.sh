@@ -200,13 +200,15 @@ Node-limit sweep: hybrid MOT on g420 / g526 (50 random vectors)
      g526   120000      0         46        0
 PINNED
 
-echo "==> smoke: test evaluation (g5378 and g953 testeval, Table IV)"
-# The default g5378 and g953 sequences pin their symbolic output sequences'
-# size and prefix, the fault-free response's witness count, and where a
-# one-bit corruption collapses the product; g953's sequence starts with a
-# five-frame three-valued prefix. Table IV asserts that every fault-free
-# response is accepted; with the evaluation time column stripped, every row
-# (BDD size, asterisk, prefix) is pinned.
+echo "==> smoke: test evaluation (g5378, g953, g298 and g526 testeval, Table IV)"
+# The default g5378, g953, g298 and g526 sequences pin their symbolic output
+# sequences' size and prefix, the fault-free response's witness count, and
+# where a one-bit corruption collapses the product; g953's sequence starts
+# with a five-frame three-valued prefix. g5378's and g953's rejections lie in
+# a prefix frame; g298's flip at frame 0, output 0 and g526's at frame 2,
+# output 0 are rejected by the BDD product inside a symbolic frame. Table IV
+# asserts that every fault-free response is accepted; with the evaluation
+# time column stripped, every row (BDD size, asterisk, prefix) is pinned.
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g5378 >"$TRACE_DIR/testeval.txt"
 grep -q "shared BDD size 261, prefix 1" "$TRACE_DIR/testeval.txt"
 grep -qF "(≥ 2^128 witness state(s))" "$TRACE_DIR/testeval.txt"
@@ -215,6 +217,14 @@ cargo run --release -q -p motsim-cli --bin motsim -- testeval g953 >"$TRACE_DIR/
 grep -q "shared BDD size 20, prefix 5" "$TRACE_DIR/testeval_g953.txt"
 grep -qF "(6291456 witness state(s))" "$TRACE_DIR/testeval_g953.txt"
 grep -q "corrupted response rejected (product collapsed at frame 0, output 10)" "$TRACE_DIR/testeval_g953.txt"
+cargo run --release -q -p motsim-cli --bin motsim -- testeval g298 >"$TRACE_DIR/testeval_g298.txt"
+grep -q "shared BDD size 1318, prefix 0" "$TRACE_DIR/testeval_g298.txt"
+grep -qF "(8 witness state(s))" "$TRACE_DIR/testeval_g298.txt"
+grep -q "corrupted response rejected (product collapsed at frame 1, output 4)" "$TRACE_DIR/testeval_g298.txt"
+cargo run --release -q -p motsim-cli --bin motsim -- testeval g526 >"$TRACE_DIR/testeval_g526.txt"
+grep -q "shared BDD size 21635, prefix 2" "$TRACE_DIR/testeval_g526.txt"
+grep -qF "(1664 witness state(s))" "$TRACE_DIR/testeval_g526.txt"
+grep -q "corrupted response rejected (product collapsed at frame 2, output 1)" "$TRACE_DIR/testeval_g526.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick |
   sed -E 's/ +[0-9.]+$//' >"$TRACE_DIR/table4.txt"
 diff - "$TRACE_DIR/table4.txt" <<'PINNED'

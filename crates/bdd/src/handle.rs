@@ -196,16 +196,21 @@ impl Bdd {
     }
 
     /// Number of satisfying assignments over the variable set `{0 .. nvars}`.
-    /// Saturates at `u128::MAX`.
+    /// Saturates at `u128::MAX`, so any `nvars` works: a count over more
+    /// than 127 free variables saturates whatever its exact value.
+    ///
+    /// One memoized traversal of the graph does the counting; with
+    /// `nvars` at least [`BddManager::num_vars`] it needs nothing else.
     ///
     /// # Panics
     ///
-    /// Panics if `nvars` does not cover the support.
+    /// Panics if `nvars` does not cover the support; the traversal checks
+    /// each node's variable as it reaches it.
     pub fn sat_count(&self, nvars: usize) -> u128 {
-        self.mgr
-            .inner
-            .borrow_mut()
-            .sat_count(self.root, nvars as u32)
+        // Clamping is exact: past 2^32 − 1 variables every non-zero count
+        // saturates.
+        let nvars = u32::try_from(nvars).unwrap_or(u32::MAX);
+        self.mgr.inner.borrow_mut().sat_count(self.root, nvars)
     }
 
     /// A satisfying partial assignment (variables not mentioned are free),
@@ -378,6 +383,22 @@ mod tests {
         assert_eq!(m.one().sat_count(3), 8);
         assert_eq!(m.zero().sat_count(3), 0);
         assert_eq!(x.xor(&y).unwrap().sat_count(2), 2);
+    }
+
+    #[test]
+    fn sat_count_saturates_past_u32_variables() {
+        let (m, x, _, _) = setup3();
+        assert_eq!(m.one().sat_count(1 << 32), u128::MAX);
+        assert_eq!(x.sat_count((1 << 32) + 1), u128::MAX);
+        assert_eq!(m.zero().sat_count(1 << 32), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "nvars below support")]
+    fn sat_count_checks_support_below_the_root() {
+        let (_, x, _, z) = setup3();
+        // The root's x0 is counted; only x2, below it, is not.
+        x.and(&z).unwrap().sat_count(2);
     }
 
     #[test]

@@ -700,7 +700,6 @@ impl Inner {
     }
 
     pub(crate) fn sat_count(&mut self, f: u32, nvars: u32) -> u128 {
-        assert!(nvars >= self.min_var_bound(f), "nvars below support of f");
         fn shl_sat(x: u128, s: u32) -> u128 {
             if x == 0 {
                 0
@@ -716,24 +715,41 @@ impl Inner {
         //
         // With dynamic reordering the "free variables skipped between a node
         // and its child" is a count of *counted* variables (id < nvars)
-        // between their levels. `rank[l]` precomputes how many sit at levels
-        // above l; counted variables that were never created have no level
+        // between their levels: a level's rank. When every manager variable
+        // is counted the rank of a level is the level itself; otherwise
+        // `rank[l]` precomputes how many counted variables sit at levels
+        // above l. Counted variables that were never created have no level
         // and are ranked with the terminal (they are free everywhere, so
         // their position does not matter).
         let mn = self.nvars as usize;
-        let mut rank = vec![0u32; mn + 1];
-        for l in 0..mn {
-            rank[l + 1] = rank[l] + u32::from(self.level2var[l] < nvars);
-        }
-        fn rank_of(inner: &Inner, edge: u32, nvars: u32, rank: &[u32]) -> u32 {
-            let lvl = inner.level(edge) as usize;
-            if lvl < rank.len() - 1 {
-                rank[lvl]
-            } else {
-                nvars
+        let rank: Vec<u32> = if nvars >= self.nvars {
+            Vec::new()
+        } else {
+            let mut rank = vec![0u32; mn];
+            for l in 1..mn {
+                rank[l] = rank[l - 1] + u32::from(self.level2var[l - 1] < nvars);
             }
-        }
-        fn rec(inner: &Inner, n: u32, nvars: u32, rank: &[u32], memo: &mut Memo<u128>) -> u128 {
+            rank
+        };
+        let rank_of = |inner: &Inner, edge: u32| -> u32 {
+            let lvl = inner.level(edge) as usize;
+            if lvl >= mn {
+                nvars
+            } else if rank.is_empty() {
+                lvl as u32
+            } else {
+                rank[lvl]
+            }
+        };
+        // Every node of `f` is counted once, so the precondition that
+        // `nvars` covers the support is checked here, at no extra cost.
+        fn rec(
+            inner: &Inner,
+            n: u32,
+            nvars: u32,
+            rank_of: &impl Fn(&Inner, u32) -> u32,
+            memo: &mut Memo<u128>,
+        ) -> u128 {
             if n == FALSE {
                 return 0;
             }
@@ -744,25 +760,22 @@ impl Inner {
                 return c;
             }
             let node = inner.nodes[index_of(n)];
+            assert!(node.var < nvars, "nvars below support of f");
             let (low, high) = (node.low ^ (n & 1), node.high ^ (n & 1));
-            let here = rank[inner.var2level[node.var as usize] as usize];
-            let cl = rec(inner, low, nvars, rank, memo);
-            let ch = rec(inner, high, nvars, rank, memo);
-            let c = shl_sat(cl, rank_of(inner, low, nvars, rank) - here - 1)
-                .saturating_add(shl_sat(ch, rank_of(inner, high, nvars, rank) - here - 1));
+            let here = rank_of(inner, n);
+            let cl = rec(inner, low, nvars, rank_of, memo);
+            let ch = rec(inner, high, nvars, rank_of, memo);
+            let c = shl_sat(cl, rank_of(inner, low) - here - 1)
+                .saturating_add(shl_sat(ch, rank_of(inner, high) - here - 1));
             memo.insert(n as usize, c);
             c
         }
         let mut counts = std::mem::take(&mut self.counts);
         counts.begin();
-        let top = rank_of(self, f, nvars, &rank);
-        let count = shl_sat(rec(self, f, nvars, &rank, &mut counts), top);
+        let top = rank_of(self, f);
+        let count = shl_sat(rec(self, f, nvars, &rank_of, &mut counts), top);
         self.counts = counts;
         count
-    }
-
-    fn min_var_bound(&mut self, f: u32) -> u32 {
-        self.support(f).iter().map(|&v| v + 1).max().unwrap_or(0)
     }
 
     pub(crate) fn any_sat(&self, f: u32) -> Option<Vec<(u32, bool)>> {
@@ -1646,6 +1659,45 @@ mod tests {
         // New variables still go to the bottom of the *current* order.
         let z = m.new_var();
         assert_eq!(m.var_level(z.top_var().unwrap()), 6);
+    }
+
+    /// `sat_count` against a truth table on a sifted order: below
+    /// `num_vars` a level's rank comes from the per-call rank vector, at
+    /// and above it the level is its own rank.
+    #[test]
+    fn sat_count_is_exact_on_a_sifted_order() {
+        let m = BddManager::new();
+        let a: Vec<Bdd> = (0..3).map(|_| m.new_var()).collect();
+        let b: Vec<Bdd> = (0..3).map(|_| m.new_var()).collect();
+        let u = m.new_var();
+        let mut f = m.zero();
+        for i in 0..3 {
+            f = f.or(&a[i].and(&b[i]).unwrap()).unwrap();
+        }
+        // `u` stays out of `f`'s support but in the arena while sifting.
+        let g = u.xor(&f).unwrap();
+        m.sift(&[], 1.2);
+        // Uncounted at `nvars` = 6, `u` must sit above counted variables
+        // for the rank vector to differ from the levels.
+        assert!(m.var_level(VarId(6)) < 6, "{:?}", m.current_order());
+        let truth_table = |h: &Bdd, nvars: usize| -> u128 {
+            (0u32..1 << nvars)
+                .filter(|bits| {
+                    let asg: Vec<bool> = (0..nvars).map(|i| bits >> i & 1 == 1).collect();
+                    h.eval(&asg)
+                })
+                .count() as u128
+        };
+        for (h, counts) in [(&f, [6, 7, 9]), (&g, [7, 8, 9])] {
+            for nvars in counts {
+                assert_eq!(h.sat_count(nvars), truth_table(h, nvars), "nvars {nvars}");
+                assert_eq!(
+                    h.not().sat_count(nvars),
+                    truth_table(&h.not(), nvars),
+                    "¬, nvars {nvars}"
+                );
+            }
+        }
     }
 
     #[test]

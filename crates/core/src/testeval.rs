@@ -43,46 +43,80 @@ use crate::symbolic::{collect_if_unlimited, SymbolicTrueSim};
 pub struct SymbolicOutputSequence {
     mgr: BddManager,
     /// Every frame in time order; the first `prefix_len` are three-valued.
-    frames: Vec<Frame>,
+    frames: Frames,
     /// Number of prefix frames.
     prefix_len: usize,
 }
 
-/// What one frame expects of a response.
-#[derive(Debug)]
-struct Frame {
-    /// Per output: the fault-free value where it is known, `X` where it
-    /// depends on the initial state or the prefix does not know it.
-    known: Vec<V3>,
-    /// `(j, o_j(x,t))` for every output whose function is not a constant,
-    /// in output order (empty in a prefix frame).
-    symbolic: Vec<(usize, Bdd)>,
+/// An expected output that a response cannot contradict: `UNKNOWN ^ c` is
+/// 2 or 3, never the 1 of [`contradicts`].
+const UNKNOWN: u8 = 2;
+
+/// Does the response bit `c` contradict the expectation `expect`?
+#[inline]
+fn contradicts(expect: u8, c: bool) -> bool {
+    expect ^ u8::from(c) == 1
 }
 
-impl Frame {
-    /// A symbolic frame: constant outputs become known values.
-    fn symbolic(outputs: Vec<Bdd>) -> Frame {
-        let mut symbolic = Vec::new();
-        let known = outputs
-            .into_iter()
-            .enumerate()
-            .map(|(j, o)| match o.const_value() {
-                Some(b) => V3::from_bool(b),
-                None => {
-                    symbolic.push((j, o));
-                    V3::X
-                }
-            })
-            .collect();
-        Frame { known, symbolic }
+/// What each frame expects of a response.
+#[derive(Debug)]
+struct Frames {
+    /// Outputs per frame.
+    width: usize,
+    /// Frames × outputs, in time order: the fault-free value (0 or 1)
+    /// where it is known, [`UNKNOWN`] where it depends on the initial
+    /// state or the prefix does not know it.
+    expect: Vec<u8>,
+    /// Per frame, `(j, o_j(x,t))` for every output whose function is not a
+    /// constant, in output order (empty in a prefix frame).
+    symbolic: Vec<Vec<(usize, Bdd)>>,
+}
+
+impl Frames {
+    /// Room for `len` frames of `width` outputs, allocated once.
+    fn with_capacity(width: usize, len: usize) -> Frames {
+        Frames {
+            width,
+            expect: Vec::with_capacity(width * len),
+            symbolic: Vec::with_capacity(len),
+        }
     }
 
-    /// A prefix frame: the three-valued outputs alone.
-    fn prefix(known: Vec<V3>) -> Frame {
-        Frame {
-            known,
-            symbolic: Vec::new(),
+    fn len(&self) -> usize {
+        self.symbolic.len()
+    }
+
+    /// Frame `t`'s expected outputs.
+    fn expect(&self, t: usize) -> &[u8] {
+        &self.expect[t * self.width..(t + 1) * self.width]
+    }
+
+    /// Appends a symbolic frame: constant outputs become known values.
+    fn push_symbolic(&mut self, outputs: Vec<Bdd>) {
+        let mut symbolic = Vec::new();
+        for (j, o) in outputs.into_iter().enumerate() {
+            self.expect.push(match o.const_value() {
+                Some(b) => u8::from(b),
+                None => {
+                    symbolic.push((j, o));
+                    UNKNOWN
+                }
+            });
         }
+        self.symbolic.push(symbolic);
+    }
+
+    /// Appends a prefix frame: the three-valued outputs alone.
+    fn push_prefix(&mut self, known: Vec<V3>) {
+        let expect = known.iter().map(|v| v.to_bool().map_or(UNKNOWN, u8::from));
+        self.expect.extend(expect);
+        self.symbolic.push(Vec::new());
+    }
+
+    /// Keeps the first `len` frames.
+    fn truncate(&mut self, len: usize) {
+        self.expect.truncate(len * self.width);
+        self.symbolic.truncate(len);
     }
 }
 
@@ -116,7 +150,7 @@ impl SymbolicOutputSequence {
     /// assert!(!sos.evaluate(&response).is_faulty());
     /// ```
     pub fn compute(netlist: &Netlist, seq: &TestSequence, node_limit: Option<usize>) -> Self {
-        let mut frames: Vec<Frame> = Vec::new();
+        let mut frames = Frames::with_capacity(netlist.num_outputs(), seq.len());
         let mut v3 = TrueSim::new(netlist);
         'outer: loop {
             // The three-valued simulator has run exactly the prefix.
@@ -131,13 +165,13 @@ impl SymbolicOutputSequence {
             }
             for t in t0..seq.len() {
                 match sym.step(seq.vector(t)) {
-                    Ok(()) => frames.push(Frame::symbolic(sym.outputs())),
+                    Ok(()) => frames.push_symbolic(sym.outputs()),
                     Err(BddError::NodeLimit { .. }) => {
                         // Extend the prefix past frame t and retry.
                         frames.truncate(t0);
                         while v3.frames() <= t {
                             v3.step(seq.vector(v3.frames()));
-                            frames.push(Frame::prefix(v3.outputs()));
+                            frames.push_prefix(v3.outputs());
                         }
                         continue 'outer;
                     }
@@ -174,8 +208,9 @@ impl SymbolicOutputSequence {
     pub fn bdd_size(&self) -> usize {
         let roots: Vec<&Bdd> = self
             .frames
+            .symbolic
             .iter()
-            .flat_map(|f| f.symbolic.iter().map(|(_, o)| o))
+            .flat_map(|f| f.iter().map(|(_, o)| o))
             .collect();
         self.mgr.shared_size(&roots)
     }
@@ -188,14 +223,22 @@ impl SymbolicOutputSequence {
 
     /// Evaluates a device response against the sequence.
     ///
-    /// One pass over the frames in (frame, output) order. A known output
-    /// (a constant fault-free value, or a value the three-valued prefix
-    /// knows) is compared with the response directly: a mismatch proves
-    /// the device faulty there. Only outputs that depend on the initial
-    /// state enter the running product `∏ [o_j(x,t) ≡ c_j(t)]`, and the
-    /// device is faulty where it collapses to 0. Skipping the known
-    /// outputs leaves the BDD operations unchanged: `∧`-ing a constant
-    /// term returns in ITE's terminal cases, before the computed cache.
+    /// One pass over the frames in time order; the verdict names the first
+    /// contradiction in (frame, output) order. A known output (a constant
+    /// fault-free value, or a value the three-valued prefix knows) is
+    /// compared with the response directly: a mismatch proves the device
+    /// faulty there. Only outputs that depend on the initial state enter
+    /// the running product `∏ [o_j(x,t) ≡ c_j(t)]`, and the device is
+    /// faulty where it collapses to 0. Skipping the known outputs leaves
+    /// the BDD operations unchanged: `∧`-ing a constant term returns in
+    /// ITE's terminal cases, before the computed cache.
+    ///
+    /// Each frame's known outputs are checked in one branch-free pass over
+    /// bytes stored when the sequence was built (0, 1, or unknown, which no
+    /// response bit contradicts). Only if that pass finds a contradiction
+    /// is its first position looked for, and only the frame's symbolic
+    /// outputs before it enter the product, so the BDD operations and the
+    /// verdict are those of a per-output walk.
     ///
     /// The running product is built in the manager the sequence was
     /// computed in, under the same node limit. Each call leaves its product
@@ -222,24 +265,42 @@ impl SymbolicOutputSequence {
     fn evaluate_unrestored(&self, response: &[Vec<bool>]) -> TestVerdict {
         assert_eq!(response.len(), self.len(), "response length mismatch");
         let mut product = self.mgr.one();
-        for (t, (frame, got)) in self.frames.iter().zip(response).enumerate() {
-            assert_eq!(got.len(), frame.known.len(), "response width mismatch");
-            let mut terms = frame.symbolic.iter().peekable();
-            for (j, (&expect, &c)) in frame.known.iter().zip(got).enumerate() {
-                let contradicted = match expect.to_bool() {
-                    Some(b) => b != c,
-                    None => terms.next_if(|&&(k, _)| k == j).is_some_and(|(_, o)| {
-                        let term = if c { o.clone() } else { o.not() };
-                        product = self.and_collecting(&product, &term);
-                        product.is_false()
-                    }),
+        for (t, (got, symbolic)) in response.iter().zip(&self.frames.symbolic).enumerate() {
+            let expect = self.frames.expect(t);
+            assert_eq!(got.len(), expect.len(), "response width mismatch");
+            // One branch-free pass over the known outputs; the first
+            // contradiction is looked for only if there is one.
+            let contradicted = expect
+                .iter()
+                .zip(got)
+                .fold(false, |any, (&e, &c)| any | contradicts(e, c));
+            let first = if contradicted {
+                expect
+                    .iter()
+                    .zip(got)
+                    .position(|(&e, &c)| contradicts(e, c))
+            } else {
+                None
+            };
+            let end = first.unwrap_or(expect.len());
+            for (j, o) in symbolic.iter().take_while(|&&(j, _)| j < end) {
+                let negated;
+                let term = if got[*j] {
+                    o
+                } else {
+                    negated = o.not();
+                    &negated
                 };
-                if contradicted {
+                product = self.and_collecting(&product, term);
+                if product.is_false() {
                     return TestVerdict::Faulty {
                         frame: t,
-                        output: j,
+                        output: *j,
                     };
                 }
+            }
+            if let Some(output) = first {
+                return TestVerdict::Faulty { frame: t, output };
             }
         }
         TestVerdict::Consistent {
@@ -439,9 +500,8 @@ mod tests {
         .unwrap();
         let seq = TestSequence::new(1, vec![vec![true]]);
         let sos = SymbolicOutputSequence::compute(&n, &seq, None);
-        let frame = &sos.frames[0];
-        assert_eq!(frame.known, [V3::X, V3::X, V3::One, V3::X]);
-        assert_eq!(frame.symbolic.len(), 3);
+        assert_eq!(sos.frames.expect(0), [UNKNOWN, UNKNOWN, 1, UNKNOWN]);
+        assert_eq!(sos.frames.symbolic[0].len(), 3);
         let verdict = |response: [bool; 4]| sos.evaluate(&[response.to_vec()]);
         let faulty = |output| TestVerdict::Faulty { frame: 0, output };
         assert_eq!(
@@ -457,6 +517,90 @@ mod tests {
         assert_eq!(verdict([true, false, true, true]), faulty(1));
         assert_eq!(verdict([true, true, false, true]), faulty(2));
         assert_eq!(verdict([true, true, true, false]), faulty(3));
+    }
+
+    /// `evaluate` as a walk in (frame, output) order that compares each
+    /// known output as it comes: the reference for the per-frame pass.
+    fn per_output_verdict(sos: &SymbolicOutputSequence, response: &[Vec<bool>]) -> TestVerdict {
+        let walk = || {
+            let mut product = sos.mgr.one();
+            for (t, got) in response.iter().enumerate() {
+                let mut terms = sos.frames.symbolic[t].iter().peekable();
+                for (j, (&expect, &c)) in sos.frames.expect(t).iter().zip(got).enumerate() {
+                    let contradicted = if expect == UNKNOWN {
+                        terms.next_if(|&&(k, _)| k == j).is_some_and(|(_, o)| {
+                            let term = if c { o.clone() } else { o.not() };
+                            product = sos.and_collecting(&product, &term);
+                            product.is_false()
+                        })
+                    } else {
+                        expect != u8::from(c)
+                    };
+                    if contradicted {
+                        return TestVerdict::Faulty {
+                            frame: t,
+                            output: j,
+                        };
+                    }
+                }
+            }
+            TestVerdict::Consistent {
+                witnesses: product.sat_count(sos.mgr.num_vars()),
+            }
+        };
+        let limit = sos.mgr.node_limit();
+        let verdict = walk();
+        sos.mgr.set_node_limit(limit);
+        verdict
+    }
+
+    /// `evaluate` and [`per_output_verdict`] on twin sequences of `name`'s
+    /// 200-vector default sequence: seeded fault-free responses and every
+    /// one-bit flip in frames 0–7 and in the last frame get the same
+    /// verdicts, and equal usage counters after each response show the
+    /// same BDD operations. Returns how many flips the product rejected.
+    fn matches_per_output_walk(name: &str, node_limit: usize, prefix_len: usize) -> usize {
+        let n = motsim_circuits::suite::by_name(name).unwrap();
+        let seq = TestSequence::random(&n, 200, 0xDAC95);
+        let sos = SymbolicOutputSequence::compute(&n, &seq, Some(node_limit));
+        let twin = SymbolicOutputSequence::compute(&n, &seq, Some(node_limit));
+        assert_eq!(sos.prefix_len(), prefix_len);
+        let mut rng = motsim_rng::SmallRng::seed_from_u64(22);
+        let mut product_rejections = 0;
+        for _ in 0..3 {
+            let state: Vec<bool> = (0..n.num_dffs()).map(|_| rng.gen_bool(0.5)).collect();
+            let mut response = reference_response(&n, &seq, &state);
+            let check = |response: &[Vec<bool>]| {
+                let verdict = sos.evaluate(response);
+                assert_eq!(verdict, per_output_verdict(&twin, response));
+                assert_eq!(sos.bdd_usage(), twin.bdd_usage());
+                verdict
+            };
+            assert!(!check(&response).is_faulty());
+            for t in (0..8).chain([seq.len() - 1]) {
+                for j in 0..n.num_outputs() {
+                    response[t][j] ^= true;
+                    if let TestVerdict::Faulty { frame, output } = check(&response) {
+                        if sos.frames.expect(frame)[output] == UNKNOWN {
+                            product_rejections += 1;
+                        }
+                    }
+                    response[t][j] ^= true;
+                }
+            }
+        }
+        product_rejections
+    }
+
+    #[test]
+    fn per_frame_pass_matches_per_output_walk_on_g953() {
+        // Frames 0–4 are the three-valued prefix.
+        assert!(matches_per_output_walk("g953", 30_000, 5) > 0);
+    }
+
+    #[test]
+    fn per_frame_pass_matches_per_output_walk_on_g5378() {
+        assert!(matches_per_output_walk("g5378", 100_000, 1) > 0);
     }
 
     #[test]
