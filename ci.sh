@@ -220,10 +220,12 @@ grep -q "corrupted response rejected (product collapsed at frame 0, output 10)" 
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g298 >"$TRACE_DIR/testeval_g298.txt"
 grep -q "shared BDD size 1318, prefix 0" "$TRACE_DIR/testeval_g298.txt"
 grep -qF "(8 witness state(s))" "$TRACE_DIR/testeval_g298.txt"
+grep -q "flipping frame 0, output 0:" "$TRACE_DIR/testeval_g298.txt"
 grep -q "corrupted response rejected (product collapsed at frame 1, output 4)" "$TRACE_DIR/testeval_g298.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- testeval g526 >"$TRACE_DIR/testeval_g526.txt"
 grep -q "shared BDD size 21635, prefix 2" "$TRACE_DIR/testeval_g526.txt"
 grep -qF "(1664 witness state(s))" "$TRACE_DIR/testeval_g526.txt"
+grep -q "flipping frame 2, output 0:" "$TRACE_DIR/testeval_g526.txt"
 grep -q "corrupted response rejected (product collapsed at frame 2, output 1)" "$TRACE_DIR/testeval_g526.txt"
 cargo run --release -q -p motsim-cli --bin motsim -- tables table4 --quick |
   sed -E 's/ +[0-9.]+$//' >"$TRACE_DIR/table4.txt"

@@ -199,8 +199,9 @@ impl Bdd {
     /// Saturates at `u128::MAX`, so any `nvars` works: a count over more
     /// than 127 free variables saturates whatever its exact value.
     ///
-    /// One memoized traversal of the graph does the counting; with
-    /// `nvars` at least [`BddManager::num_vars`] it needs nothing else.
+    /// One memoized traversal of the graph does the counting, after one
+    /// pass over the manager's levels that ranks them among the counted
+    /// variables.
     ///
     /// # Panics
     ///

@@ -715,41 +715,26 @@ impl Inner {
         //
         // With dynamic reordering the "free variables skipped between a node
         // and its child" is a count of *counted* variables (id < nvars)
-        // between their levels: a level's rank. When every manager variable
-        // is counted the rank of a level is the level itself; otherwise
-        // `rank[l]` precomputes how many counted variables sit at levels
-        // above l. Counted variables that were never created have no level
+        // between their levels. `rank[l]` precomputes how many sit at levels
+        // above l; counted variables that were never created have no level
         // and are ranked with the terminal (they are free everywhere, so
         // their position does not matter).
         let mn = self.nvars as usize;
-        let rank: Vec<u32> = if nvars >= self.nvars {
-            Vec::new()
-        } else {
-            let mut rank = vec![0u32; mn];
-            for l in 1..mn {
-                rank[l] = rank[l - 1] + u32::from(self.level2var[l - 1] < nvars);
-            }
-            rank
-        };
-        let rank_of = |inner: &Inner, edge: u32| -> u32 {
+        let mut rank = vec![0u32; mn + 1];
+        for l in 0..mn {
+            rank[l + 1] = rank[l] + u32::from(self.level2var[l] < nvars);
+        }
+        fn rank_of(inner: &Inner, edge: u32, nvars: u32, rank: &[u32]) -> u32 {
             let lvl = inner.level(edge) as usize;
-            if lvl >= mn {
-                nvars
-            } else if rank.is_empty() {
-                lvl as u32
-            } else {
+            if lvl < rank.len() - 1 {
                 rank[lvl]
+            } else {
+                nvars
             }
-        };
+        }
         // Every node of `f` is counted once, so the precondition that
         // `nvars` covers the support is checked here, at no extra cost.
-        fn rec(
-            inner: &Inner,
-            n: u32,
-            nvars: u32,
-            rank_of: &impl Fn(&Inner, u32) -> u32,
-            memo: &mut Memo<u128>,
-        ) -> u128 {
+        fn rec(inner: &Inner, n: u32, nvars: u32, rank: &[u32], memo: &mut Memo<u128>) -> u128 {
             if n == FALSE {
                 return 0;
             }
@@ -762,18 +747,18 @@ impl Inner {
             let node = inner.nodes[index_of(n)];
             assert!(node.var < nvars, "nvars below support of f");
             let (low, high) = (node.low ^ (n & 1), node.high ^ (n & 1));
-            let here = rank_of(inner, n);
-            let cl = rec(inner, low, nvars, rank_of, memo);
-            let ch = rec(inner, high, nvars, rank_of, memo);
-            let c = shl_sat(cl, rank_of(inner, low) - here - 1)
-                .saturating_add(shl_sat(ch, rank_of(inner, high) - here - 1));
+            let here = rank[inner.var2level[node.var as usize] as usize];
+            let cl = rec(inner, low, nvars, rank, memo);
+            let ch = rec(inner, high, nvars, rank, memo);
+            let c = shl_sat(cl, rank_of(inner, low, nvars, rank) - here - 1)
+                .saturating_add(shl_sat(ch, rank_of(inner, high, nvars, rank) - here - 1));
             memo.insert(n as usize, c);
             c
         }
         let mut counts = std::mem::take(&mut self.counts);
         counts.begin();
-        let top = rank_of(self, f);
-        let count = shl_sat(rec(self, f, nvars, &rank_of, &mut counts), top);
+        let top = rank_of(self, f, nvars, &rank);
+        let count = shl_sat(rec(self, f, nvars, &rank, &mut counts), top);
         self.counts = counts;
         count
     }
@@ -1661,9 +1646,9 @@ mod tests {
         assert_eq!(m.var_level(z.top_var().unwrap()), 6);
     }
 
-    /// `sat_count` against a truth table on a sifted order: below
-    /// `num_vars` a level's rank comes from the per-call rank vector, at
-    /// and above it the level is its own rank.
+    /// `sat_count` against a truth table on a sifted order, with `nvars`
+    /// below `num_vars` (an uncounted variable above counted ones) and at
+    /// and above it.
     #[test]
     fn sat_count_is_exact_on_a_sifted_order() {
         let m = BddManager::new();

@@ -43,7 +43,7 @@ use crate::symbolic::{collect_if_unlimited, SymbolicTrueSim};
 pub struct SymbolicOutputSequence {
     mgr: BddManager,
     /// Every frame in time order; the first `prefix_len` are three-valued.
-    frames: Frames,
+    frames: Vec<Frame>,
     /// Number of prefix frames.
     prefix_len: usize,
 }
@@ -58,65 +58,45 @@ fn contradicts(expect: u8, c: bool) -> bool {
     expect ^ u8::from(c) == 1
 }
 
-/// What each frame expects of a response.
+/// What one frame expects of a response.
 #[derive(Debug)]
-struct Frames {
-    /// Outputs per frame.
-    width: usize,
-    /// Frames × outputs, in time order: the fault-free value (0 or 1)
-    /// where it is known, [`UNKNOWN`] where it depends on the initial
-    /// state or the prefix does not know it.
-    expect: Vec<u8>,
-    /// Per frame, `(j, o_j(x,t))` for every output whose function is not a
-    /// constant, in output order (empty in a prefix frame).
-    symbolic: Vec<Vec<(usize, Bdd)>>,
+struct Frame {
+    /// Per output: the fault-free value (0 or 1) where it is known,
+    /// [`UNKNOWN`] where it depends on the initial state or the prefix
+    /// does not know it.
+    known: Vec<u8>,
+    /// `(j, o_j(x,t))` for every output whose function is not a constant,
+    /// in output order (empty in a prefix frame).
+    symbolic: Vec<(usize, Bdd)>,
 }
 
-impl Frames {
-    /// Room for `len` frames of `width` outputs, allocated once.
-    fn with_capacity(width: usize, len: usize) -> Frames {
-        Frames {
-            width,
-            expect: Vec::with_capacity(width * len),
-            symbolic: Vec::with_capacity(len),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.symbolic.len()
-    }
-
-    /// Frame `t`'s expected outputs.
-    fn expect(&self, t: usize) -> &[u8] {
-        &self.expect[t * self.width..(t + 1) * self.width]
-    }
-
-    /// Appends a symbolic frame: constant outputs become known values.
-    fn push_symbolic(&mut self, outputs: Vec<Bdd>) {
+impl Frame {
+    /// A symbolic frame: constant outputs become known values.
+    fn symbolic(outputs: Vec<Bdd>) -> Frame {
         let mut symbolic = Vec::new();
-        for (j, o) in outputs.into_iter().enumerate() {
-            self.expect.push(match o.const_value() {
+        let known = outputs
+            .into_iter()
+            .enumerate()
+            .map(|(j, o)| match o.const_value() {
                 Some(b) => u8::from(b),
                 None => {
                     symbolic.push((j, o));
                     UNKNOWN
                 }
-            });
+            })
+            .collect();
+        Frame { known, symbolic }
+    }
+
+    /// A prefix frame: the three-valued outputs alone.
+    fn prefix(known: Vec<V3>) -> Frame {
+        Frame {
+            known: known
+                .iter()
+                .map(|v| v.to_bool().map_or(UNKNOWN, u8::from))
+                .collect(),
+            symbolic: Vec::new(),
         }
-        self.symbolic.push(symbolic);
-    }
-
-    /// Appends a prefix frame: the three-valued outputs alone.
-    fn push_prefix(&mut self, known: Vec<V3>) {
-        let expect = known.iter().map(|v| v.to_bool().map_or(UNKNOWN, u8::from));
-        self.expect.extend(expect);
-        self.symbolic.push(Vec::new());
-    }
-
-    /// Keeps the first `len` frames.
-    fn truncate(&mut self, len: usize) {
-        self.expect.truncate(len * self.width);
-        self.symbolic.truncate(len);
     }
 }
 
@@ -150,7 +130,7 @@ impl SymbolicOutputSequence {
     /// assert!(!sos.evaluate(&response).is_faulty());
     /// ```
     pub fn compute(netlist: &Netlist, seq: &TestSequence, node_limit: Option<usize>) -> Self {
-        let mut frames = Frames::with_capacity(netlist.num_outputs(), seq.len());
+        let mut frames: Vec<Frame> = Vec::new();
         let mut v3 = TrueSim::new(netlist);
         'outer: loop {
             // The three-valued simulator has run exactly the prefix.
@@ -165,13 +145,13 @@ impl SymbolicOutputSequence {
             }
             for t in t0..seq.len() {
                 match sym.step(seq.vector(t)) {
-                    Ok(()) => frames.push_symbolic(sym.outputs()),
+                    Ok(()) => frames.push(Frame::symbolic(sym.outputs())),
                     Err(BddError::NodeLimit { .. }) => {
                         // Extend the prefix past frame t and retry.
                         frames.truncate(t0);
                         while v3.frames() <= t {
                             v3.step(seq.vector(v3.frames()));
-                            frames.push_prefix(v3.outputs());
+                            frames.push(Frame::prefix(v3.outputs()));
                         }
                         continue 'outer;
                     }
@@ -208,9 +188,8 @@ impl SymbolicOutputSequence {
     pub fn bdd_size(&self) -> usize {
         let roots: Vec<&Bdd> = self
             .frames
-            .symbolic
             .iter()
-            .flat_map(|f| f.iter().map(|(_, o)| o))
+            .flat_map(|f| f.symbolic.iter().map(|(_, o)| o))
             .collect();
         self.mgr.shared_size(&roots)
     }
@@ -265,25 +244,22 @@ impl SymbolicOutputSequence {
     fn evaluate_unrestored(&self, response: &[Vec<bool>]) -> TestVerdict {
         assert_eq!(response.len(), self.len(), "response length mismatch");
         let mut product = self.mgr.one();
-        for (t, (got, symbolic)) in response.iter().zip(&self.frames.symbolic).enumerate() {
-            let expect = self.frames.expect(t);
-            assert_eq!(got.len(), expect.len(), "response width mismatch");
-            // One branch-free pass over the known outputs; the first
-            // contradiction is looked for only if there is one.
-            let contradicted = expect
-                .iter()
-                .zip(got)
+        for (t, (frame, got)) in self.frames.iter().zip(response).enumerate() {
+            assert_eq!(got.len(), frame.known.len(), "response width mismatch");
+            // One branch-free pass over the known outputs, a loop the
+            // compiler can vectorize, unlike an early-exit search; the
+            // first contradiction is looked for only if there is one.
+            let mut known = frame.known.iter().zip(got);
+            let contradicted = known
+                .clone()
                 .fold(false, |any, (&e, &c)| any | contradicts(e, c));
             let first = if contradicted {
-                expect
-                    .iter()
-                    .zip(got)
-                    .position(|(&e, &c)| contradicts(e, c))
+                known.position(|(&e, &c)| contradicts(e, c))
             } else {
                 None
             };
-            let end = first.unwrap_or(expect.len());
-            for (j, o) in symbolic.iter().take_while(|&&(j, _)| j < end) {
+            let end = first.unwrap_or(frame.known.len());
+            for (j, o) in frame.symbolic.iter().take_while(|&&(j, _)| j < end) {
                 let negated;
                 let term = if got[*j] {
                     o
@@ -500,8 +476,9 @@ mod tests {
         .unwrap();
         let seq = TestSequence::new(1, vec![vec![true]]);
         let sos = SymbolicOutputSequence::compute(&n, &seq, None);
-        assert_eq!(sos.frames.expect(0), [UNKNOWN, UNKNOWN, 1, UNKNOWN]);
-        assert_eq!(sos.frames.symbolic[0].len(), 3);
+        let frame = &sos.frames[0];
+        assert_eq!(frame.known, [UNKNOWN, UNKNOWN, 1, UNKNOWN]);
+        assert_eq!(frame.symbolic.len(), 3);
         let verdict = |response: [bool; 4]| sos.evaluate(&[response.to_vec()]);
         let faulty = |output| TestVerdict::Faulty { frame: 0, output };
         assert_eq!(
@@ -524,9 +501,9 @@ mod tests {
     fn per_output_verdict(sos: &SymbolicOutputSequence, response: &[Vec<bool>]) -> TestVerdict {
         let walk = || {
             let mut product = sos.mgr.one();
-            for (t, got) in response.iter().enumerate() {
-                let mut terms = sos.frames.symbolic[t].iter().peekable();
-                for (j, (&expect, &c)) in sos.frames.expect(t).iter().zip(got).enumerate() {
+            for (t, (frame, got)) in sos.frames.iter().zip(response).enumerate() {
+                let mut terms = frame.symbolic.iter().peekable();
+                for (j, (&expect, &c)) in frame.known.iter().zip(got).enumerate() {
                     let contradicted = if expect == UNKNOWN {
                         terms.next_if(|&&(k, _)| k == j).is_some_and(|(_, o)| {
                             let term = if c { o.clone() } else { o.not() };
@@ -581,7 +558,7 @@ mod tests {
                 for j in 0..n.num_outputs() {
                     response[t][j] ^= true;
                     if let TestVerdict::Faulty { frame, output } = check(&response) {
-                        if sos.frames.expect(frame)[output] == UNKNOWN {
+                        if sos.frames[frame].known[output] == UNKNOWN {
                             product_rejections += 1;
                         }
                     }
